@@ -6,6 +6,7 @@
 
 #include "algebra/binder.h"
 #include "algebra/normalize.h"
+#include "algebra/plan_hash.h"
 #include "common/fault_injection.h"
 #include "core/view_pruning.h"
 #include "exec/executor.h"
@@ -189,12 +190,42 @@ std::vector<char> ValidityChecker::RunProbeBatch(
   // without touching the database; Check() surfaces probe_status_ at the
   // end of the round.
   if (!probe_status_.ok()) return std::vector<char>(plans.size(), 0);
+  // Answer what this check has already probed; collect the rest, each
+  // distinct plan once. fresh_slot[i] is plans[i]'s index in `fresh`, or
+  // kMemoized when the memo answered it.
+  constexpr size_t kMemoized = static_cast<size_t>(-1);
+  std::vector<char> nonempty(plans.size(), 0);
+  std::vector<size_t> fresh_slot(plans.size(), kMemoized);
+  std::vector<PlanPtr> fresh;
+  std::vector<uint64_t> fresh_fp;
+  for (size_t i = 0; i < plans.size(); ++i) {
+    uint64_t fp = algebra::PlanFingerprint(plans[i]);
+    auto [lo, hi] = probe_memo_.equal_range(fp);
+    auto hit = std::find_if(lo, hi, [&](const auto& entry) {
+      return algebra::PlanEquals(entry.second.plan, plans[i]);
+    });
+    if (hit != hi) {
+      nonempty[i] = hit->second.nonempty ? 1 : 0;
+      continue;
+    }
+    size_t j = 0;
+    while (j < fresh.size() &&
+           !(fresh_fp[j] == fp && algebra::PlanEquals(fresh[j], plans[i]))) {
+      ++j;
+    }
+    if (j == fresh.size()) {
+      fresh.push_back(plans[i]);
+      fresh_fp.push_back(fp);
+    }
+    fresh_slot[i] = j;
+  }
+  const size_t memoized = plans.size() - fresh.size();
   if (options_.max_total_probes > 0 &&
-      c3_probes_ + plans.size() > options_.max_total_probes) {
+      c3_probes_ + fresh.size() > options_.max_total_probes) {
     probe_status_ = Status::ResourceExhausted(
         "validity test exceeded its probe budget of " +
         std::to_string(options_.max_total_probes) + " database probes (" +
-        std::to_string(c3_probes_ + plans.size()) + " needed)");
+        std::to_string(c3_probes_ + fresh.size()) + " needed)");
     if (span_ctx_ != nullptr && span_ctx_->active()) {
       common::RecordInstantSpan(span_ctx_, "validity.probe_refused",
                                 probe_status_.message());
@@ -202,30 +233,39 @@ std::vector<char> ValidityChecker::RunProbeBatch(
     if (trace_ != nullptr) {
       ValidityTraceEvent e;
       e.kind = ValidityTraceEvent::Kind::kProbeBatch;
-      e.probes = plans.size();
+      e.probes = fresh.size();
       e.detail = "refused: " + std::string(probe_status_.message());
       trace_->Add(std::move(e));
     }
     return std::vector<char>(plans.size(), 0);
   }
-  c3_probes_ += plans.size();
+  c3_probes_ += fresh.size();
+  probes_memoized_ += memoized;
   common::ScopedSpan probe_span(span_ctx_, "validity.probe_batch");
-  std::vector<char> nonempty =
-      RunNonEmptinessProbes(plans, *state_, options_.probe_parallelism,
+  std::vector<char> ran =
+      RunNonEmptinessProbes(fresh, *state_, options_.probe_parallelism,
                             options_.probe_limits, check_guard_.get(),
                             dag_opts_);
+  size_t hits = 0;
+  for (size_t j = 0; j < fresh.size(); ++j) {
+    hits += ran[j] ? 1 : 0;
+    probe_memo_.emplace(fresh_fp[j], ProbeOutcome{fresh[j], ran[j] != 0});
+  }
+  for (size_t i = 0; i < plans.size(); ++i) {
+    if (fresh_slot[i] != kMemoized) nonempty[i] = ran[fresh_slot[i]];
+  }
   if (probe_span.active()) {
-    size_t hits = 0;
-    for (char hit : nonempty) hits += hit ? 1 : 0;
-    probe_span.set_detail("probes=" + std::to_string(plans.size()) +
+    probe_span.set_detail("probes=" + std::to_string(fresh.size()) +
+                          " memoized=" + std::to_string(memoized) +
                           " nonempty=" + std::to_string(hits));
   }
   if (trace_ != nullptr) {
     ValidityTraceEvent e;
     e.kind = ValidityTraceEvent::Kind::kProbeBatch;
-    e.probes = plans.size();
-    for (char hit : nonempty) e.probe_rows += hit ? 1 : 0;
-    e.probe_sql = ProbeBatchSql(plans);
+    e.probes = fresh.size();
+    e.probes_memoized = memoized;
+    e.probe_rows = hits;
+    e.probe_sql = ProbeBatchSql(fresh);
     trace_->Add(std::move(e));
   }
   return nonempty;
@@ -1505,6 +1545,7 @@ Result<ValidityReport> ValidityChecker::Check(
   report.memo_groups = memo_.num_groups();
   report.memo_exprs = memo_.num_exprs();
   report.c3_probes = c3_probes_;
+  report.probes_memoized = probes_memoized_;
   report.probe_budget_exhausted = !probe_status_.ok();
   if (trace_ != nullptr) {
     ValidityTraceEvent e;

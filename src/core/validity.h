@@ -5,6 +5,7 @@
 #include <map>
 #include <memory>
 #include <string>
+#include <unordered_map>
 #include <vector>
 
 #include "algebra/plan.h"
@@ -70,7 +71,8 @@ struct ValidityOptions {
   /// expansion and probes together. 0 = unlimited. Exceeding it aborts
   /// Check() with kTimeout so the caller can degrade per policy.
   std::chrono::microseconds check_timeout{0};
-  /// Whole-check cap on C3a/C3b/CAgg database probes. 0 = unlimited.
+  /// Whole-check cap on executed C3a/C3b/CAgg database probes (answers
+  /// served from the check's probe memo are free). 0 = unlimited.
   /// Exceeding it aborts Check() with kResourceExhausted: these probes run
   /// extra queries before the user's query executes, so they are the
   /// validity test's unbounded-cost attack surface.
@@ -119,7 +121,11 @@ struct ValidityReport {
   size_t exprs_skipped = 0;
   size_t frontier_depth = 0;
   /// Number of v_r probes executed against the database (rule C3a cond. 3).
+  /// Each distinct probe plan runs at most once per check.
   size_t c3_probes = 0;
+  /// Probe requests answered without touching the database: repeats of a
+  /// plan already probed in this check (earlier round or same batch).
+  size_t probes_memoized = 0;
   /// True when the whole-check probe cap blew during inference. The
   /// verdict (if any) was reached with the probes that did run and is
   /// sound to act on once, but it must never be cached: with budget the
@@ -249,10 +255,12 @@ class ValidityChecker {
   void TraceRule(const std::string& why);
   void TraceVerdict(const ValidityReport& report);
 
-  /// Budgeted batch probe used by the C3/CAgg rules: refuses (all-empty)
-  /// once the whole-check probe cap is hit, recording the failure in
-  /// probe_status_ — the rules return bool, so Check() surfaces it at the
-  /// end of the round.
+  /// Budgeted batch probe used by the C3/CAgg rules. Plans already probed
+  /// in this check are answered from probe_memo_, duplicates within the
+  /// batch run once, and only the remaining plans reach the database.
+  /// Refuses (all-empty) once the whole-check probe cap is hit, recording
+  /// the failure in probe_status_ — the rules return bool, so Check()
+  /// surfaces it at the end of the round.
   std::vector<char> RunProbeBatch(const std::vector<algebra::PlanPtr>& plans);
 
   const catalog::Catalog& catalog_;
@@ -272,6 +280,17 @@ class ValidityChecker {
   std::map<optimizer::GroupId, ViewWitness> witness_view_;
   std::map<optimizer::GroupId, optimizer::ExprId> witness_expr_;
   size_t c3_probes_ = 0;
+  /// Outcomes of the probes executed by this check, keyed by
+  /// algebra::PlanFingerprint and confirmed with PlanEquals (a fingerprint
+  /// collision is a miss). Lives and dies with the single-use checker, so
+  /// every answer in it was read from one state D; a probe that errored,
+  /// was fault-injected or tripped its guard is remembered as empty.
+  struct ProbeOutcome {
+    algebra::PlanPtr plan;
+    bool nonempty = false;
+  };
+  std::unordered_multimap<uint64_t, ProbeOutcome> probe_memo_;
+  size_t probes_memoized_ = 0;
   size_t joins_introduced_ = 0;
   const common::QueryGuard* parent_guard_ = nullptr;
   std::unique_ptr<common::QueryGuard> check_guard_;

@@ -76,6 +76,7 @@ std::string ValidityTrace::ToJsonLines() const {
     }
     if (e.kind == ValidityTraceEvent::Kind::kProbeBatch) {
       out += ",\"probes\":" + std::to_string(e.probes) +
+             ",\"memoized\":" + std::to_string(e.probes_memoized) +
              ",\"nonempty\":" + std::to_string(e.probe_rows);
       if (!e.probe_sql.empty()) {
         out += ",\"probe_sql\":";
@@ -103,6 +104,7 @@ std::string ValidityTrace::ToText() const {
     if (!e.rule.empty()) out += " " + e.rule;
     if (e.kind == ValidityTraceEvent::Kind::kProbeBatch) {
       out += " probes=" + std::to_string(e.probes) +
+             " memoized=" + std::to_string(e.probes_memoized) +
              " nonempty=" + std::to_string(e.probe_rows);
     }
     if (!e.detail.empty()) out += " (" + e.detail + ")";

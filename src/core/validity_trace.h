@@ -32,10 +32,13 @@ struct ValidityTraceEvent {
   std::string detail;
   /// kProbeBatch: the probe plans, rendered one-line, '; '-separated.
   std::string probe_sql;
-  /// kProbeBatch: probes in the batch / how many were visibly non-empty
-  /// (each probe is a LIMIT-1 query, so rows returned == non-empty count).
+  /// kProbeBatch: probes executed / how many of those were visibly
+  /// non-empty (each probe is a LIMIT-1 query, so rows returned ==
+  /// non-empty count) / requests answered by the check's probe memo (a
+  /// plan already probed earlier in the check or repeated in the batch).
   uint64_t probes = 0;
   uint64_t probe_rows = 0;
+  uint64_t probes_memoized = 0;
   /// kVerdict / kDegraded: guard budget consumed when the event fired.
   uint64_t guard_rows = 0;
   uint64_t guard_bytes = 0;
@@ -72,7 +75,7 @@ class ValidityTrace {
   /// True if some kRuleFired event carries `rule` as its identifier.
   bool FiredRule(const std::string& rule) const;
 
-  /// Total probes across every kProbeBatch event.
+  /// Total executed probes across every kProbeBatch event.
   uint64_t TotalProbes() const;
 
   /// One JSON object per line, one line per event (audit-log format).

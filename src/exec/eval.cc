@@ -351,19 +351,131 @@ Status EvalScalarBatch(const ScalarPtr& s, const DataChunk& chunk,
   return Status::ExecutionError("unsupported scalar kind");
 }
 
+namespace {
+
+/// Three-way comparison in CompareAt's convention (NaN compares greater,
+/// so the result is not antisymmetric and operands are never swapped).
+template <typename T>
+int ThreeWay(const T& x, const T& y) {
+  return x == y ? 0 : (x < y ? -1 : 1);
+}
+int ThreeWay(const std::string& x, const std::string& y) {
+  int c = x.compare(y);
+  return c == 0 ? 0 : (c < 0 ? -1 : 1);
+}
+
+/// Keeps the rows of `sel` whose cell of `col` is non-NULL and compares
+/// with `lit` as `op` requires, compacting `sel` in place. cell(row) reads
+/// the typed cell; lit_left selects `lit <op> cell` over `cell <op> lit`.
+template <typename T, typename Cell>
+void CompactByCompare(const ColumnVector& col, sql::BinOp op, const T& lit,
+                      bool lit_left, Cell cell, Selection* sel) {
+  const bool lt = PassesCompare(op, -1);
+  const bool eq = PassesCompare(op, 0);
+  const bool gt = PassesCompare(op, 1);
+  size_t kept = 0;
+  for (uint32_t row : *sel) {
+    if (col.IsNull(row)) continue;
+    int c = lit_left ? ThreeWay(lit, cell(row)) : ThreeWay(cell(row), lit);
+    if (c < 0 ? lt : (c == 0 ? eq : gt)) (*sel)[kept++] = row;
+  }
+  sel->resize(kept);
+}
+
+/// Filter kernel for `col <op> literal` and `literal <op> col` over the six
+/// comparison operators: compares straight off the chunk's typed column
+/// and compacts `sel` in place, materializing nothing. Numeric promotion
+/// mirrors CompareAt / Value::Compare: int vs int exact, any other numeric
+/// pair as double. Returns false, leaving `sel` untouched, when `p` has
+/// another shape or the column's storage and the literal's kind do not
+/// line up (generic columns, kind mismatches); the caller then takes the
+/// generic path.
+bool FilterColumnVsLiteral(const ScalarPtr& p, const DataChunk& chunk,
+                           Selection* sel) {
+  if (p == nullptr || p->kind != ScalarKind::kBinary ||
+      p->left == nullptr || p->right == nullptr) {
+    return false;
+  }
+  sql::BinOp op = p->bin_op;
+  if (op != sql::BinOp::kEq && op != sql::BinOp::kNe &&
+      op != sql::BinOp::kLt && op != sql::BinOp::kLe &&
+      op != sql::BinOp::kGt && op != sql::BinOp::kGe) {
+    return false;
+  }
+  const bool lit_left = p->left->kind == ScalarKind::kLiteral &&
+                        p->right->kind == ScalarKind::kColumn;
+  if (!lit_left && !(p->left->kind == ScalarKind::kColumn &&
+                     p->right->kind == ScalarKind::kLiteral)) {
+    return false;
+  }
+  const int slot = lit_left ? p->right->slot : p->left->slot;
+  const Value& lit = lit_left ? p->left->value : p->right->value;
+  if (slot < 0 || static_cast<size_t>(slot) >= chunk.num_columns()) {
+    return false;
+  }
+  const ColumnVector& col = chunk.column(slot);
+  using Tag = ColumnVector::Tag;
+  // A NULL literal or an all-NULL column never compares TRUE.
+  if (lit.is_null() || col.tag() == Tag::kUntyped) {
+    sel->clear();
+    return true;
+  }
+  switch (col.tag()) {
+    case Tag::kInt:
+      if (lit.is_int()) {
+        CompactByCompare<int64_t>(
+            col, op, lit.int_value(), lit_left,
+            [&col](uint32_t r) { return col.IntAt(r); }, sel);
+        return true;
+      }
+      if (lit.is_double()) {
+        CompactByCompare<double>(
+            col, op, lit.double_value(), lit_left,
+            [&col](uint32_t r) { return static_cast<double>(col.IntAt(r)); },
+            sel);
+        return true;
+      }
+      return false;
+    case Tag::kDouble:
+      if (!lit.is_numeric()) return false;
+      CompactByCompare<double>(
+          col, op, lit.AsDouble(), lit_left,
+          [&col](uint32_t r) { return col.DoubleAt(r); }, sel);
+      return true;
+    case Tag::kString:
+      if (!lit.is_string()) return false;
+      CompactByCompare<std::string>(
+          col, op, lit.string_value(), lit_left,
+          [&col](uint32_t r) -> const std::string& { return col.StringAt(r); },
+          sel);
+      return true;
+    case Tag::kBool:
+      if (!lit.is_bool()) return false;
+      CompactByCompare<bool>(
+          col, op, lit.bool_value(), lit_left,
+          [&col](uint32_t r) { return col.BoolAt(r); }, sel);
+      return true;
+    default:
+      return false;
+  }
+}
+
+}  // namespace
+
 Status FilterSelection(const std::vector<ScalarPtr>& predicates,
                        const DataChunk& chunk, Selection* sel) {
   ColumnVector result;
   for (const ScalarPtr& p : predicates) {
     if (sel->empty()) return Status::OK();
+    if (FilterColumnVsLiteral(p, chunk, sel)) continue;
     FGAC_RETURN_NOT_OK(EvalScalarBatch(p, chunk, *sel, &result));
-    Selection next;
-    next.reserve(sel->size());
+    // Compact in place: a kept row never moves forward of its read index.
+    size_t kept = 0;
     for (size_t i = 0; i < sel->size(); ++i) {
       std::optional<bool> t = TruthAt(result, i);
-      if (t.has_value() && *t) next.push_back((*sel)[i]);
+      if (t.has_value() && *t) (*sel)[kept++] = (*sel)[i];
     }
-    *sel = std::move(next);
+    sel->resize(kept);
   }
   return Status::OK();
 }

@@ -5,6 +5,9 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <limits>
+#include <random>
 #include <string>
 #include <vector>
 
@@ -13,6 +16,7 @@
 #include "common/value.h"
 #include "core/database.h"
 #include "exec/chunk.h"
+#include "exec/eval.h"
 #include "exec/executor.h"
 #include "sql/parser.h"
 #include "storage/relation.h"
@@ -149,6 +153,110 @@ TEST(DataChunkTest, AppendSelectedGathersRows) {
   ASSERT_EQ(dst.size(), 2u);
   EXPECT_EQ(dst.GetRow(0)[0], Value::Int(3));
   EXPECT_EQ(dst.GetRow(1)[1], Value::String("1"));
+}
+
+// FilterSelection compares `col <op> literal` and `literal <op> col`
+// straight off the typed column. It must keep exactly the rows the generic
+// path keeps (EvalScalarBatch's materialized CompareBatch, then TRUE-only
+// selection) and the row-at-a-time evaluator accepts, over NULL-heavy
+// typed columns, generic mixed-kind columns, an all-NULL column, int vs
+// double promotion, NaN, a NULL literal, all six operators on either side
+// and partial input selections.
+TEST(FilterKernelTest, ColumnVsLiteralMatchesGenericPath) {
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  // 2^53 + 1 is not representable as a double: int vs int stays exact.
+  const int64_t big = (int64_t{1} << 53) + 1;
+  std::mt19937_64 rng(20041);
+  auto pick = [&rng](const std::vector<Value>& pool) {
+    std::uniform_int_distribution<size_t> index(0, pool.size() - 1);
+    return pool[index(rng)];
+  };
+  // Columns 0-3 are typed (int, double, string, bool), column 4 mixes
+  // kinds and degrades to generic storage, column 5 is all NULL (stays
+  // untyped) and column 6 is a fully valid int column.
+  const std::vector<std::vector<Value>> column_pools = {
+      {Value::Null(), Value::Int(-2), Value::Int(0), Value::Int(3),
+       Value::Int(7), Value::Int(big), Value::Int(big - 1)},
+      {Value::Null(), Value::Double(-0.0), Value::Double(2.5),
+       Value::Double(3.0), Value::Double(nan), Value::Double(1e300)},
+      {Value::Null(), Value::String(""), Value::String("a"),
+       Value::String("ab"), Value::String("b")},
+      {Value::Null(), Value::Bool(false), Value::Bool(true)},
+      {Value::Null(), Value::Int(3), Value::Double(3.0), Value::Double(nan),
+       Value::String("a"), Value::Bool(true)},
+      {Value::Null()},
+      {Value::Int(1), Value::Int(3)}};
+  const std::vector<Value> literals = {
+      Value::Null(), Value::Int(3), Value::Int(-2), Value::Int(big - 1),
+      Value::Double(3.0), Value::Double(2.5), Value::Double(nan),
+      Value::Double(static_cast<double>(big - 1)), Value::String("a"),
+      Value::String(""), Value::Bool(true), Value::Bool(false)};
+  const std::vector<sql::BinOp> ops = {sql::BinOp::kEq, sql::BinOp::kNe,
+                                       sql::BinOp::kLt, sql::BinOp::kLe,
+                                       sql::BinOp::kGt, sql::BinOp::kGe};
+
+  constexpr size_t kRows = 300;
+  DataChunk chunk(column_pools.size());
+  std::vector<Row> rows;
+  for (size_t r = 0; r < kRows; ++r) {
+    Row row;
+    for (const auto& pool : column_pools) {
+      // NULL-heavy: pools that hold NULL draw it about 40% of the time.
+      bool null = pool[0].is_null() &&
+                  std::uniform_int_distribution<int>(0, 4)(rng) < 2;
+      row.push_back(null ? Value::Null() : pick(pool));
+    }
+    chunk.AppendRow(row);
+    rows.push_back(std::move(row));
+  }
+  ASSERT_EQ(chunk.column(0).tag(), ColumnVector::Tag::kInt);
+  ASSERT_EQ(chunk.column(1).tag(), ColumnVector::Tag::kDouble);
+  ASSERT_EQ(chunk.column(2).tag(), ColumnVector::Tag::kString);
+  ASSERT_EQ(chunk.column(3).tag(), ColumnVector::Tag::kBool);
+  ASSERT_EQ(chunk.column(4).tag(), ColumnVector::Tag::kGeneric);
+  ASSERT_EQ(chunk.column(5).tag(), ColumnVector::Tag::kUntyped);
+  ASSERT_TRUE(chunk.column(6).AllValid());
+
+  std::vector<Selection> selections(3);
+  exec::IdentitySelection(kRows, &selections[0]);
+  for (uint32_t r = 0; r < kRows; r += 3) selections[1].push_back(r);
+  for (uint32_t r = 1; r < kRows; r += 7) selections[2].push_back(r);
+
+  for (size_t c = 0; c < column_pools.size(); ++c) {
+    for (const Value& lit : literals) {
+      for (sql::BinOp op : ops) {
+        for (bool lit_left : {false, true}) {
+          algebra::ScalarPtr col = algebra::MakeColumn(static_cast<int>(c));
+          algebra::ScalarPtr val = algebra::MakeLiteralScalar(lit);
+          algebra::ScalarPtr p = lit_left
+                                     ? algebra::MakeBinaryScalar(op, val, col)
+                                     : algebra::MakeBinaryScalar(op, col, val);
+          for (const Selection& input : selections) {
+            Selection kernel = input;
+            ASSERT_TRUE(exec::FilterSelection({p}, chunk, &kernel).ok());
+            ColumnVector truth;
+            ASSERT_TRUE(exec::EvalScalarBatch(p, chunk, input, &truth).ok());
+            Selection generic;
+            for (size_t i = 0; i < input.size(); ++i) {
+              std::optional<bool> t = exec::TruthAt(truth, i);
+              if (t.has_value() && *t) generic.push_back(input[i]);
+            }
+            Selection rowwise;
+            for (uint32_t r : input) {
+              auto pass = algebra::EvalPredicate(p, rows[r]);
+              ASSERT_TRUE(pass.ok());
+              if (pass.value()) rowwise.push_back(r);
+            }
+            ASSERT_EQ(kernel, generic)
+                << "column " << c << " literal " << lit.ToString() << " op "
+                << static_cast<int>(op) << (lit_left ? " (literal left)" : "");
+            ASSERT_EQ(kernel, rowwise)
+                << "column " << c << " literal " << lit.ToString();
+          }
+        }
+      }
+    }
+  }
 }
 
 class ExecChunkQueryTest : public ::testing::Test {

@@ -297,7 +297,7 @@ TEST_F(GuardrailsTest, DegradedAnswerIsFilteredNotLiteral) {
 }
 
 TEST_F(GuardrailsTest, ProbeBudgetExhaustionRejects) {
-  // Example 4.4's conditional query needs a first batch of >= 2 C3
+  // Example 4.4's conditional query needs a first batch of 2 distinct C3
   // database probes before any verdict exists; a budget of 1 therefore
   // trips with no verdict in hand and must reject. (A budget tripping
   // AFTER the root is proven valid keeps the verdict — tested below by
@@ -317,16 +317,28 @@ TEST_F(GuardrailsTest, ProbeBudgetExhaustionRejects) {
 }
 
 TEST_F(GuardrailsTest, LateProbeTripKeepsEarlierVerdict) {
-  // The scenario's verdict lands after 2 of its 4 probes; tripping the
-  // budget on the later (exploratory) batches must NOT revoke an already
-  // established acceptance.
+  // Tripping the budget on a later (exploratory) batch must NOT revoke an
+  // already established acceptance. Example 4.4's query executes only 2
+  // distinct probes — its later batches repeat them and are served by the
+  // check's probe memo for free — so a budget of 2 never trips there.
   SessionContext ctx = NonTruman("11");
-  const std::string q = "select * from grades where course-id = 'cs101'";
   db_.options().validity.max_total_probes = 2;
   db_.options().enable_validity_cache = false;
-  auto r = db_.Execute(q, ctx);
+  auto r = db_.Execute("select * from grades where course-id = 'cs101'", ctx);
   ASSERT_TRUE(r.ok()) << r.status().ToString();
   EXPECT_FALSE(r.value().degraded_to_truman);
+  EXPECT_FALSE(r.value().validity.probe_budget_exhausted);
+  // This join is conditionally valid after its first batch (2 probes); the
+  // next round probes one new remainder, which a budget of 2 refuses.
+  r = db_.Execute(
+      "select grades.grade from grades, registered "
+      "where grades.course-id = registered.course-id "
+      "and registered.student-id = '11' and grades.course-id = 'cs101'",
+      ctx);
+  ASSERT_TRUE(r.ok()) << r.status().ToString();
+  EXPECT_FALSE(r.value().degraded_to_truman);
+  EXPECT_TRUE(r.value().validity.valid);
+  EXPECT_TRUE(r.value().validity.probe_budget_exhausted);
 }
 
 TEST_F(GuardrailsTest, ProbeBudgetExhaustionDegradesToTruman) {

@@ -194,7 +194,14 @@ TEST_F(DatabaseCacheTest, BlownProbeBudgetVerdictIsNotCached) {
   // A verdict reached before the whole-check probe cap blew is sound to
   // act on once but must NEVER be cached: with budget the check could have
   // proved more, and the cache would keep serving the starved verdict.
-  const std::string q = "select * from grades where course-id = 'cs101'";
+  // Repeats of an already-probed remainder are answered from the check's
+  // probe memo and cost no budget, so the query needs a later batch that
+  // probes a DISTINCT remainder: this join is conditionally valid after
+  // its first batch (2 probes), and the next round probes one new plan.
+  const std::string q =
+      "select grades.grade from grades, registered "
+      "where grades.course-id = registered.course-id "
+      "and registered.student-id = '11' and grades.course-id = 'cs101'";
   auto free_run = db_.Execute(q, Student());
   ASSERT_TRUE(free_run.ok());
   ASSERT_FALSE(free_run.value().validity.unconditional);
@@ -224,7 +231,7 @@ TEST_F(DatabaseCacheTest, BlownProbeBudgetVerdictIsNotCached) {
   }
   ASSERT_TRUE(exercised)
       << "no probe budget reached a verdict and then blew; fixture needs "
-         "a query with more than one probe batch";
+         "a query whose later probe batch probes a distinct remainder";
 }
 
 TEST_F(DatabaseCacheTest, DifferentConstantsKeySeparately) {
