@@ -303,7 +303,7 @@ void ValidityChecker::MarkC(GroupId g, const std::string& why) {
   }
 }
 
-void ValidityChecker::PropagateValidity(bool* changed_any) {
+void ValidityChecker::PropagateValidity() {
   // Bottom-up marking (Section 5.6.2): an operation node is valid if all
   // its children equivalence nodes are valid (a Get is never valid by
   // itself; a Values node has no relations and is vacuously valid); an
@@ -323,7 +323,6 @@ void ValidityChecker::PropagateValidity(bool* changed_any) {
           MarkU(g, "U2");
           witness_expr_.emplace(g, eid);
           changed = true;
-          if (changed_any != nullptr) *changed_any = true;
         }
       }
       if (!memo_.IsValidC(g)) {
@@ -333,7 +332,6 @@ void ValidityChecker::PropagateValidity(bool* changed_any) {
         if (all_c) {
           MarkC(g, "C2");
           changed = true;
-          if (changed_any != nullptr) *changed_any = true;
         }
       }
     }
@@ -461,8 +459,7 @@ std::optional<std::vector<ScalarPtr>> ValidityChecker::SingleTableFilters(
   return std::nullopt;
 }
 
-bool ValidityChecker::ApplyU3Rules() {
-  bool changed = false;
+void ValidityChecker::ApplyU3Rules() {
   size_t group_snapshot = memo_.num_groups();
   for (GroupId g = 0; g < static_cast<GroupId>(group_snapshot); ++g) {
     if (memo_.Find(g) != g || !memo_.IsValidU(g)) continue;
@@ -615,10 +612,7 @@ bool ValidityChecker::ApplyU3Rules() {
           // U3a/U3b: DISTINCT projection of the (filtered) core is valid.
           GroupId proj_g = memo_.InsertExpr(ProjectExpr(a_core, cand.group));
           GroupId dist_g = memo_.InsertExpr(DistinctExpr(proj_g));
-          if (!memo_.IsValidU(dist_g)) {
-            MarkU(dist_g, "U3a/U3b via constraint '" + dep->name + "'");
-            changed = true;
-          }
+          MarkU(dist_g, "U3a/U3b via constraint '" + dep->name + "'");
           // Project factoring: a query projection keeping a subset of A_c
           // factors through π_{A_c}: π_B(core) = π_{B'}(π_{A_c}(core)).
           // This connects narrower query projections (Example 5.3's
@@ -648,7 +642,6 @@ bool ValidityChecker::ApplyU3Rules() {
             if (!all_in) continue;
             GroupId pg = memo_.Find(p.group);
             memo_.InsertExpr(ProjectExpr(std::move(remapped), proj_g), pg);
-            changed = true;
           }
           // U3c: multiplicities recoverable when the remainder's join
           // columns are themselves unconditionally visible (q_rj valid).
@@ -658,10 +651,9 @@ bool ValidityChecker::ApplyU3Rules() {
               rj.push_back(MakeColumn(pair.rem_slot));
             }
             GroupId qrj = memo_.InsertExpr(ProjectExpr(std::move(rj), rem));
-            PropagateValidity(nullptr);
+            PropagateValidity();
             if (memo_.IsValidU(qrj)) {
               MarkU(proj_g, "U3c via constraint '" + dep->name + "'");
-              changed = true;
             }
           }
         }
@@ -669,12 +661,10 @@ bool ValidityChecker::ApplyU3Rules() {
     }
   }
   memo_.Canonicalize();
-  return changed;
 }
 
-bool ValidityChecker::ApplyCAggRules() {
-  if (state_ == nullptr) return false;
-  bool changed = false;
+void ValidityChecker::ApplyCAggRules() {
+  if (state_ == nullptr) return;
 
   // Returns the number of group-by keys if `x` is a keyed aggregate group.
   auto aggregate_keys = [this](GroupId x) -> size_t {
@@ -729,7 +719,7 @@ bool ValidityChecker::ApplyCAggRules() {
       if (!all_pinned) continue;
       // Probe σ_{P1}(v): conditionally valid by C2; visibly non-empty?
       GroupId probe = memo_.InsertExpr(SelectExpr(s.predicates, v));
-      PropagateValidity(nullptr);
+      PropagateValidity();
       if (!memo_.IsValidC(probe)) continue;
       Result<PlanPtr> plan = memo_.AnyPlan(probe);
       if (!plan.ok()) continue;
@@ -810,18 +800,14 @@ bool ValidityChecker::ApplyCAggRules() {
   std::vector<char> nonempty = RunProbeBatch(plans);
   for (size_t i = 0; i < pending.size(); ++i) {
     if (!nonempty[i]) continue;
-    GroupId target = memo_.Find(pending[i].target);
-    if (memo_.IsValidC(target)) continue;
-    MarkC(target, "C3 over keyed aggregate (visibly non-empty key)");
-    changed = true;
+    MarkC(pending[i].target,
+          "C3 over keyed aggregate (visibly non-empty key)");
   }
   memo_.Canonicalize();
-  return changed;
 }
 
-bool ValidityChecker::ApplyJoinIntroduction() {
+void ValidityChecker::ApplyJoinIntroduction() {
   constexpr size_t kMaxIntroducedJoins = 16;
-  bool changed = false;
   // Targets: subexpressions under a Distinct (directly or through a
   // projection) — exactly the shape U3a can validate.
   std::set<GroupId> targets;
@@ -890,19 +876,19 @@ bool ValidityChecker::ApplyJoinIntroduction() {
       join.kind = PlanKind::kJoin;
       join.predicates = NormalizePredicates(std::move(preds));
       join.children = {xg, rem};
+      // Only a join the memo did not hold yet counts against the budget:
+      // later rounds re-derive the same hash-consed joins for free.
+      const uint64_t before = memo_.change_count();
       memo_.InsertExpr(std::move(join));
-      ++joins_introduced_;
-      changed = true;
-      if (joins_introduced_ >= kMaxIntroducedJoins) break;
+      if (memo_.change_count() == before) continue;
+      if (++joins_introduced_ >= kMaxIntroducedJoins) break;
     }
   }
   memo_.Canonicalize();
-  return changed;
 }
 
-bool ValidityChecker::ApplyC3Rules() {
-  if (state_ == nullptr) return false;
-  bool changed = false;
+void ValidityChecker::ApplyC3Rules() {
+  if (state_ == nullptr) return;
 
   // Phase 1 (serial): walk the memo and collect candidates. All memo
   // mutation — inserting the instantiated remainders v_r — happens here,
@@ -990,7 +976,7 @@ bool ValidityChecker::ApplyC3Rules() {
                                           MakeLiteralScalar(pin_values[i])));
         }
         GroupId vr = memo_.InsertExpr(SelectExpr(std::move(p_ir), rem));
-        PropagateValidity(nullptr);
+        PropagateValidity();
         if (!memo_.IsValidC(vr)) continue;
 
         Result<PlanPtr> vr_plan = memo_.AnyPlan(vr);
@@ -1026,13 +1012,9 @@ bool ValidityChecker::ApplyC3Rules() {
     GroupId qsel =
         memo_.InsertExpr(SelectExpr(std::move(c.p_ic), memo_.Find(c.core)));
     GroupId qproj = memo_.InsertExpr(ProjectExpr(c.a_core, qsel));
-    if (!memo_.IsValidC(qproj)) {
-      MarkC(qproj, "C3a/C3b (visibly non-empty remainder)");
-      changed = true;
-    }
+    MarkC(qproj, "C3a/C3b (visibly non-empty remainder)");
   }
   memo_.Canonicalize();
-  return changed;
 }
 
 Status ValidityChecker::InsertAccessPatternInstantiations(
@@ -1071,7 +1053,7 @@ Status ValidityChecker::InsertAccessPatternInstantiations(
   return Status::OK();
 }
 
-bool ValidityChecker::ApplyDependentJoinRule(
+void ValidityChecker::ApplyDependentJoinRule(
     const std::vector<InstantiatedView>& views) {
   // Identify usable access-pattern view templates:
   //   Select(col = $$p, Get(T))  with no other predicates mentioning $$
@@ -1104,9 +1086,8 @@ bool ValidityChecker::ApplyDependentJoinRule(
     if (col == nullptr) continue;
     templates.push_back({v.name, p->children[0]->table, (*col)->slot});
   }
-  if (templates.empty()) return false;
+  if (templates.empty()) return;
 
-  bool changed = false;
   for (ExprId eid = 0; eid < static_cast<ExprId>(memo_.num_exprs()); ++eid) {
     const MemoExpr e = memo_.expr(eid);  // copy
     if (e.dead || e.kind != PlanKind::kJoin) continue;
@@ -1153,17 +1134,14 @@ bool ValidityChecker::ApplyDependentJoinRule(
       } else {
         MarkC(g, "dependent join via access-pattern view '" + t.view_name + "'");
       }
-      changed = true;
       break;
     }
   }
-  return changed;
 }
 
-bool ValidityChecker::ApplyRedundantJoinDecomposition() {
+void ValidityChecker::ApplyRedundantJoinDecomposition() {
   constexpr size_t kMaxApplications = 8;
   size_t applied = 0;
-  bool changed = false;
   size_t group_snapshot = memo_.num_groups();
   for (GroupId q = 0; q < static_cast<GroupId>(group_snapshot); ++q) {
     if (memo_.Find(q) != q || memo_.IsValidU(q)) continue;
@@ -1230,6 +1208,7 @@ bool ValidityChecker::ApplyRedundantJoinDecomposition() {
             return s < ax ? s - al : s - ax + at;
           }));
         }
+        const uint64_t before = memo_.change_count();
         MemoExpr right;
         right.kind = PlanKind::kJoin;
         right.predicates = NormalizePredicates(std::move(jp_right));
@@ -1256,15 +1235,15 @@ bool ValidityChecker::ApplyRedundantJoinDecomposition() {
         for (int s = 0; s < ax; ++s) proj.push_back(MakeColumn(s));
         for (int s = 0; s < ay; ++s) proj.push_back(MakeColumn(ax + at + s));
         memo_.InsertExpr(ProjectExpr(std::move(proj), comb_g), q);
-        changed = true;
-        ++applied;
-        if (applied >= kMaxApplications) break;
+        // A repeat of an earlier round's decomposition changes nothing
+        // and must not use up the budget meant for new ones.
+        if (memo_.change_count() == before) continue;
+        if (++applied >= kMaxApplications) break;
       }
       if (applied >= kMaxApplications) break;
     }
   }
   memo_.Canonicalize();
-  return changed;
 }
 
 Result<PlanPtr> ValidityChecker::ExtractWitness() const {
@@ -1453,7 +1432,7 @@ Result<ValidityReport> ValidityChecker::Check(
       // constant subtrees, spread by hash-cons unification. The root may
       // already be proved with zero expansion (the query IS a view), and
       // an entirely unmarked memo is a certain rejection.
-      PropagateValidity(nullptr);
+      PropagateValidity();
       expand.root_goal = memo_.Find(root_);
       for (const InstantiatedView* v : usable) {
         if (!v->base_tables.empty()) {
@@ -1464,7 +1443,7 @@ Result<ValidityReport> ValidityChecker::Check(
         // Abort expansion batches early on cancel/deadline; the blown
         // budget itself is re-raised by the Check() after expansion.
         if (!check_guard_->Check().ok()) return true;
-        PropagateValidity(nullptr);
+        PropagateValidity();
         return memo_.IsValidU(memo_.Find(root_));
       };
       if (memo_.IsValidU(memo_.Find(root_)) || !any_valid_c()) {
@@ -1496,28 +1475,32 @@ Result<ValidityReport> ValidityChecker::Check(
   }
 
   FGAC_RETURN_NOT_OK(check_guard_->Check());
-  PropagateValidity(nullptr);
+  PropagateValidity();
   if (options_.enable_access_patterns) {
-    if (ApplyDependentJoinRule(views)) PropagateValidity(nullptr);
+    const uint64_t before = memo_.change_count();
+    ApplyDependentJoinRule(views);
+    if (memo_.change_count() != before) PropagateValidity();
   }
 
   if (options_.enable_complex_rules && !skip_inference) {
     for (size_t round = 0; round < options_.max_inference_rounds; ++round) {
       FGAC_RETURN_NOT_OK(check_guard_->Check());
-      bool changed = ApplyU3Rules();
+      ++report.inference_rounds;
+      // The round changed the memo iff its change count moved: a rule that
+      // re-derives what the memo already holds (a dedup hit, a repeated
+      // mark) moves nothing.
+      const uint64_t before = memo_.change_count();
+      ApplyU3Rules();
       if (options_.enable_conditional_rules) {
-        changed = ApplyC3Rules() || changed;
-        changed = ApplyCAggRules() || changed;
+        ApplyC3Rules();
+        ApplyCAggRules();
       }
-      if (options_.enable_access_patterns) {
-        changed = ApplyDependentJoinRule(views) || changed;
-      }
+      if (options_.enable_access_patterns) ApplyDependentJoinRule(views);
       // Speculative joins against inclusion-dependency targets: new
       // expressions need another expansion pass to connect with the views.
-      if (ApplyJoinIntroduction()) changed = true;
-      if (options_.enable_redundant_join_decomposition &&
-          ApplyRedundantJoinDecomposition()) {
-        changed = true;
+      ApplyJoinIntroduction();
+      if (options_.enable_redundant_join_decomposition) {
+        ApplyRedundantJoinDecomposition();
       }
       // A blown probe budget fails the whole check — unless the query is
       // already admitted (U or C), in which case the verdict in hand is
@@ -1528,12 +1511,15 @@ Result<ValidityReport> ValidityChecker::Check(
         if (memo_.IsValidU(r) || memo_.IsValidC(r)) break;
         return probe_status_;
       }
+      // Every round ends expanded and propagated, so a round that moved
+      // nothing is the fixpoint. An expansion cut short by the pass or
+      // expression cap in ExpandOptions is not resumed by an extra round.
+      if (memo_.change_count() == before) break;
       // Newly derived expressions (U3 cores, factored projections,
       // introduced joins) may enable further equivalence rules.
-      if (changed) FGAC_RETURN_NOT_OK(run_expand());
-      PropagateValidity(&changed);
-      GroupId root = memo_.Find(root_);
-      if (!changed || memo_.IsValidU(root)) break;
+      FGAC_RETURN_NOT_OK(run_expand());
+      PropagateValidity();
+      if (memo_.IsValidU(memo_.Find(root_))) break;
     }
   }
   FGAC_RETURN_NOT_OK(check_guard_->Check());
@@ -1553,7 +1539,8 @@ Result<ValidityReport> ValidityChecker::Check(
     e.detail = "passes=" + std::to_string(report.expansion_passes) +
                " groups_pruned=" + std::to_string(report.groups_pruned) +
                " exprs_skipped=" + std::to_string(report.exprs_skipped) +
-               " frontier_depth=" + std::to_string(report.frontier_depth);
+               " frontier_depth=" + std::to_string(report.frontier_depth) +
+               " rounds=" + std::to_string(report.inference_rounds);
     if (skip_inference) e.detail += " skipped_inference=1";
     if (stopped_early) e.detail += " stopped_early=1";
     if (report.probe_budget_exhausted) e.detail += " probe_budget_exhausted=1";

@@ -58,7 +58,8 @@ struct ValidityOptions {
   optimizer::ExpandOptions expand;
   /// Cap on $$-instantiations tried per access-pattern view.
   size_t max_access_instantiations = 64;
-  /// Cap on U3/C3 fixpoint iterations.
+  /// Cap on U3/C3 fixpoint iterations (a safety bound: the loop normally
+  /// ends earlier, at the first round that changes nothing in the memo).
   size_t max_inference_rounds = 8;
   /// Threads for the C3a/C3b and C-aggregate visible-non-emptiness probes
   /// (the database probes of Section 5.4). Each inference round now
@@ -113,6 +114,10 @@ struct ValidityReport {
   size_t memo_groups = 0;
   size_t memo_exprs = 0;
   size_t expansion_passes = 0;
+  /// U3/C3 inference rounds run. The loop stops at the first round that
+  /// leaves the memo's change count where it found it (or when the root is
+  /// proved, or at ValidityOptions::max_inference_rounds).
+  size_t inference_rounds = 0;
   /// Goal-directed search: dominated (already-valid) groups whose pending
   /// rule applications were dropped, expression visits skipped (dominance,
   /// frontier unreachability, gated joins), and the deepest level the
@@ -206,27 +211,31 @@ class ValidityChecker {
   };
 
   void SetupExpandOptions();
-  void PropagateValidity(bool* changed_any);
-  bool ApplyU3Rules();
-  bool ApplyC3Rules();
+  void PropagateValidity();
+  // The inference rules below report nothing: Check() learns whether a
+  // round derived anything from the memo's change count.
+  void ApplyU3Rules();
+  void ApplyC3Rules();
   /// Conditional selection over a keyed aggregate view (Example 4.2,
   /// LCAvgGrades): a selection pinning the full group key of an aggregate
   /// is conditionally valid when the same selection over a valid restriction
   /// of that aggregate is visibly non-empty.
-  bool ApplyCAggRules();
+  void ApplyCAggRules();
   /// Speculative join of a query subexpression with the destination table
   /// of an inclusion dependency (enables Example 5.4-style inferences: the
   /// introduced join may be derivable from views, and U3 then validates the
-  /// original subexpression). Returns true if new expressions were added.
-  bool ApplyJoinIntroduction();
+  /// original subexpression). At most 16 joins per check; only joins new to
+  /// the memo count.
+  void ApplyJoinIntroduction();
   /// The Section 5.6.2 future-work extension: rewrites Join(L⋈T, R) as
   /// π(σ((L⋈T) ⋈_{T.key} (T⋈R))) when T is a keyed single-table group and
   /// R joins only against T's columns. The duplicated-T form can then
-  /// unify with views like A⋈B and B⋈C. Returns true on new expressions.
-  bool ApplyRedundantJoinDecomposition();
+  /// unify with views like A⋈B and B⋈C. At most 8 applications per round;
+  /// only applications that change the query group count.
+  void ApplyRedundantJoinDecomposition();
   Status InsertAccessPatternInstantiations(const InstantiatedView& view,
                                            const algebra::PlanPtr& query);
-  bool ApplyDependentJoinRule(const std::vector<InstantiatedView>& views);
+  void ApplyDependentJoinRule(const std::vector<InstantiatedView>& views);
 
   /// Enumerates (projection, join) facets of a group's expressions.
   std::vector<JoinFacet> JoinFacetsOf(optimizer::GroupId g) const;
@@ -259,7 +268,7 @@ class ValidityChecker {
   /// in this check are answered from probe_memo_, duplicates within the
   /// batch run once, and only the remaining plans reach the database.
   /// Refuses (all-empty) once the whole-check probe cap is hit, recording
-  /// the failure in probe_status_ — the rules return bool, so Check()
+  /// the failure in probe_status_ — the rules return nothing, so Check()
   /// surfaces it at the end of the round.
   std::vector<char> RunProbeBatch(const std::vector<algebra::PlanPtr>& plans);
 

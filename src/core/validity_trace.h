@@ -18,7 +18,7 @@ struct ValidityTraceEvent {
     kCacheMiss,   // cache consulted, inference had to run
     kRuleFired,   // an inference rule marked a DAG group valid
     kProbeBatch,  // C3a/C3b/CAgg visible-non-emptiness probes executed
-    kExpansion,   // DAG expansion summary (passes, pruning, frontier)
+    kExpansion,   // DAG expansion summary (passes, pruning, frontier, rounds)
     kVerdict,     // final accept/reject of the validity test
     kDegraded,    // budget blown; answer produced by the Truman rewriter
   };

@@ -264,6 +264,7 @@ GroupId Memo::InsertExpr(MemoExpr expr, GroupId target) {
   groups_[target].exprs.push_back(eid);
   ++groups_[target].version;
   dedup_[key].push_back(eid);
+  ++change_count_;
   return target;
 }
 
@@ -333,6 +334,7 @@ void Memo::MergeGroups(GroupId a, GroupId b) {
   }
   uf_[loser] = winner;
   needs_canonicalize_ = true;
+  ++change_count_;
 }
 
 void Memo::Canonicalize() {
@@ -421,11 +423,18 @@ std::vector<ExprId> Memo::ParentsOf(GroupId g) const {
 
 void Memo::MarkValidU(GroupId g) {
   MemoGroup& grp = mutable_group(g);
+  if (grp.valid_u && grp.valid_c) return;
   grp.valid_u = true;
   grp.valid_c = true;  // rule C1
+  ++change_count_;
 }
 
-void Memo::MarkValidC(GroupId g) { mutable_group(g).valid_c = true; }
+void Memo::MarkValidC(GroupId g) {
+  MemoGroup& grp = mutable_group(g);
+  if (grp.valid_c) return;
+  grp.valid_c = true;
+  ++change_count_;
+}
 
 namespace {
 

@@ -96,8 +96,14 @@ class Memo {
   size_t num_exprs() const { return exprs_.size(); }
   size_t num_live_exprs() const;
 
+  /// Monotone count of changes to the memo's content: it moves exactly when
+  /// an expression is created, two groups merge, or a validity mark flips
+  /// from false to true. A dedup hit, a repeated mark and a Canonicalize()
+  /// that only drops duplicate expressions leave it where it was, so "the
+  /// counter did not move" means the memo derived nothing new.
+  uint64_t change_count() const { return change_count_; }
+
   const MemoGroup& group(GroupId g) const { return groups_[Find(g)]; }
-  MemoGroup& mutable_group(GroupId g) { return groups_[Find(g)]; }
   const MemoExpr& expr(ExprId e) const { return exprs_[e]; }
 
   /// Live operation nodes of a group (children canonicalized).
@@ -139,6 +145,9 @@ class Memo {
   bool ExprPayloadEquals(const MemoExpr& a, const MemoExpr& b) const;
   size_t ExprArity(const MemoExpr& e) const;
   void MergeGroups(GroupId a, GroupId b);
+  /// Private so that marks change only through MarkValidU/MarkValidC,
+  /// which keep change_count() exact.
+  MemoGroup& mutable_group(GroupId g) { return groups_[Find(g)]; }
 
   std::vector<MemoExpr> exprs_;
   std::vector<MemoGroup> groups_;
@@ -149,6 +158,7 @@ class Memo {
   /// lists are spliced into the winner.
   std::unordered_map<GroupId, std::vector<ExprId>> parents_;
   bool needs_canonicalize_ = false;
+  uint64_t change_count_ = 0;
 };
 
 }  // namespace fgac::optimizer

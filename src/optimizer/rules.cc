@@ -139,19 +139,15 @@ class RuleContext {
   bool ShouldStop() {
     if (!options_.should_stop) return false;
     // The callback typically runs a full validity propagation — only worth
-    // re-polling after the memo changed. Within expansion, marks move only
-    // through inserts and merges, and merges always retire a group, so
-    // (created exprs, live groups) is a sound change signal.
-    uint64_t state = (static_cast<uint64_t>(memo_->num_exprs()) << 32) ^
-                     static_cast<uint64_t>(memo_->num_live_groups());
-    if (stop_polled_ && state == last_stop_state_) return stopped_early_;
-    stop_polled_ = true;
-    last_stop_state_ = state;
-    if (options_.should_stop()) {
-      stopped_early_ = true;
-      return true;
+    // re-polling after the memo changed. The state is read after the
+    // callback, so the marks it sets do not count as a change.
+    if (stop_polled_ && memo_->change_count() == last_stop_state_) {
+      return stopped_early_;
     }
-    return false;
+    stop_polled_ = true;
+    if (options_.should_stop()) stopped_early_ = true;
+    last_stop_state_ = memo_->change_count();
+    return stopped_early_;
   }
 
   /// The proof frontier: groups reachable top-down from the root goal or
