@@ -4,7 +4,7 @@
 // each time the query is executed."
 //
 // Measures per-execution latency of a Non-Truman SELECT when the verdict
-// is (a) recomputed every time, (b) served from the validity cache, and
+// is (a) recomputed every time, (b) served from the statement cache, and
 // (c) not needed at all (enforcement off, lower bound).
 //
 // Expected shape: cached ≈ none + a hash lookup; uncached pays the full
@@ -85,7 +85,7 @@ void BM_ValidityCached(benchmark::State& state) {
     benchmark::DoNotOptimize(r);
   }
   state.counters["cache_hits"] =
-      benchmark::Counter(static_cast<double>(db->validity_cache().hits()));
+      benchmark::Counter(static_cast<double>(db->statement_cache().hits()));
 }
 
 // Prepared-statement pattern: same statement, different constants => each

@@ -122,6 +122,18 @@ class ActivityScope {
   std::shared_ptr<common::StatementActivity> activity_;
 };
 
+/// FNV fingerprint of the session parameterization (name -> value, in the
+/// map's sorted order) — the cache dimension that captures $user-id-style
+/// session parameters feeding view instantiation.
+uint64_t SessionParamsFingerprint(const SessionContext& ctx) {
+  uint64_t fp = 1469598103934665603ULL;
+  for (const auto& [name, value] : ctx.params()) {
+    fp = fp * 1099511628211ULL ^ std::hash<std::string>()(name);
+    fp = fp * 1099511628211ULL ^ value.Hash();
+  }
+  return fp;
+}
+
 }  // namespace
 
 Database::Database() : Database(DefaultOptions()) {}
@@ -129,7 +141,6 @@ Database::Database() : Database(DefaultOptions()) {}
 Database::Database(DatabaseOptions options)
     : options_(std::move(options)),
       tracker_(options_.memory),
-      cache_(options_.validity_cache_capacity),
       stmt_cache_(options_.statement_cache_capacity),
       tracer_(options_.trace_retain_spans) {
   // Applies only on first use process-wide (the pool is shared); later
@@ -378,10 +389,6 @@ void Database::RefreshExportGauges() {
       .Set(static_cast<int64_t>(tracer_.spans_recorded()));
   metrics_.gauge("trace.spans_dropped")
       .Set(static_cast<int64_t>(tracer_.spans_dropped()));
-  metrics_.gauge("validity_cache.hits").Set(cache_.hits());
-  metrics_.gauge("validity_cache.misses").Set(cache_.misses());
-  metrics_.gauge("validity_cache.evictions").Set(cache_.evictions());
-  metrics_.gauge("validity_cache.entries").Set(cache_.size());
   metrics_.gauge("statement_cache.hits")
       .Set(static_cast<int64_t>(stmt_cache_.hits()));
   metrics_.gauge("statement_cache.misses")
@@ -493,16 +500,23 @@ Result<ExecResult> Database::ExecuteSelectImpl(const sql::SelectStmt& stmt,
                                                QueryProfile* profile,
                                                common::AuditEvent* audit) {
   FGAC_ASSIGN_OR_RETURN(PlanPtr plan, BindQuery(stmt, ctx));
-  return RunSelect(plan, ctx, profile, audit, /*prep=*/nullptr);
+  // An ad-hoc SELECT is a zero-argument execution of its bound plan, keyed
+  // in the statement cache like a prepared EXECUTE.
+  static const std::map<std::string, Value> kNoBindings;
+  uint64_t params_fp = SessionParamsFingerprint(ctx);
+  std::string text = sql::SelectToSql(stmt);
+  return RunSelect(plan, ctx, profile, audit,
+                   StatementKey{algebra::PlanFingerprint(plan), params_fp,
+                                params_fp, text, plan, kNoBindings});
 }
 
 Result<ExecResult> Database::RunSelect(const PlanPtr& plan,
                                        const SessionContext& ctx,
                                        QueryProfile* profile,
                                        common::AuditEvent* audit,
-                                       const PreparedRun* prep) {
+                                       const StatementKey& key) {
   auto t0 = std::chrono::steady_clock::now();
-  Result<ExecResult> r = RunSelectImpl(plan, ctx, profile, audit, prep);
+  Result<ExecResult> r = RunSelectImpl(plan, ctx, profile, audit, key);
   uint64_t duration_us = static_cast<uint64_t>(
       std::chrono::duration_cast<std::chrono::microseconds>(
           std::chrono::steady_clock::now() - t0)
@@ -517,7 +531,7 @@ Result<ExecResult> Database::RunSelectImpl(const PlanPtr& plan,
                                            const SessionContext& ctx,
                                            QueryProfile* profile,
                                            common::AuditEvent* audit,
-                                           const PreparedRun* prep) {
+                                           const StatementKey& key) {
   using Clock = std::chrono::steady_clock;
   auto elapsed_ns = [](Clock::time_point t0) -> uint64_t {
     return static_cast<uint64_t>(
@@ -645,6 +659,12 @@ Result<ExecResult> Database::RunSelectImpl(const PlanPtr& plan,
     out.exec_stats = profile->stats;
   }
 
+  // Both enforcement modes key the statement cache alike. The catalog
+  // version and policy epoch are read once, before any enforcement work, so
+  // what this statement caches is stamped with a state no newer than the
+  // one it was computed under (fail-closed).
+  StatementCache::Key cache_key{ctx.user(), key.stmt_fp, key.text,
+                                catalog_version(), policy_epoch()};
   PlanPtr to_run = plan;
   switch (ctx.mode()) {
     case EnforcementMode::kNone:
@@ -652,76 +672,44 @@ Result<ExecResult> Database::RunSelectImpl(const PlanPtr& plan,
       break;
     case EnforcementMode::kTruman: {
       if (act != nullptr) act->set_phase(common::StatementPhase::kRewrite);
-      if (prep != nullptr) {
-        // Prepared fast path: the rewrite replaces base tables with
-        // session-instantiated policy views and is independent of the
-        // EXECUTE arguments, so the PARAMETERIZED rewritten plan is cached
-        // per (principal, statement, session params) and only the cheap
-        // placeholder substitution runs per call.
-        StatementCache::Key key{ctx.user(), prep->stmt_fp, *prep->text,
-                                catalog_version(), policy_epoch()};
-        PlanPtr rewritten = stmt_cache_.LookupTrumanPlan(key, prep->params_fp);
-        out.truman_plan_from_cache = rewritten != nullptr;
-        if (out.truman_plan_from_cache && act != nullptr) act->NoteCacheHit();
-        if (rewritten == nullptr) {
-          common::ScopedSpan rewrite_span(tctx, "truman.rewrite");
-          FGAC_ASSIGN_OR_RETURN(
-              PlanPtr raw, TrumanRewrite(*prep->parameterized, catalog_, ctx));
-          rewritten = algebra::NormalizePlan(raw);
-          stmt_cache_.InsertTrumanPlan(key, prep->params_fp, rewritten);
-        }
-        to_run = prep->bindings->empty()
-                     ? rewritten
-                     : algebra::NormalizePlan(
-                           algebra::BindPlanParams(rewritten, *prep->bindings));
-      } else {
+      // The rewrite replaces base tables with session-instantiated policy
+      // views and is independent of the EXECUTE arguments, so the
+      // PARAMETERIZED rewritten plan is cached per (principal, statement,
+      // session params) and only the cheap placeholder substitution runs
+      // per call (none for an ad-hoc SELECT).
+      PlanPtr rewritten =
+          stmt_cache_.LookupTrumanPlan(cache_key, key.params_fp);
+      out.truman_plan_from_cache = rewritten != nullptr;
+      if (out.truman_plan_from_cache && act != nullptr) act->NoteCacheHit();
+      if (rewritten == nullptr) {
         common::ScopedSpan rewrite_span(tctx, "truman.rewrite");
-        FGAC_ASSIGN_OR_RETURN(PlanPtr rewritten,
-                              TrumanRewrite(plan, catalog_, ctx));
-        to_run = algebra::NormalizePlan(rewritten);
+        FGAC_ASSIGN_OR_RETURN(PlanPtr raw,
+                              TrumanRewrite(key.parameterized, catalog_, ctx));
+        rewritten = algebra::NormalizePlan(raw);
+        stmt_cache_.InsertTrumanPlan(cache_key, key.params_fp, rewritten);
       }
+      to_run = key.bindings.empty()
+                   ? rewritten
+                   : algebra::NormalizePlan(
+                         algebra::BindPlanParams(rewritten, key.bindings));
       if (audit != nullptr) audit->verdict = "truman";
       break;
     }
     case EnforcementMode::kNonTruman: {
       if (act != nullptr) act->set_phase(common::StatementPhase::kValidity);
       auto validity_t0 = Clock::now();
-      // The cache key must cover everything the verdict depends on: the
-      // bound plan AND the full session parameterization (a $term or
-      // $user-location change re-instantiates the views). Ad-hoc queries
-      // consult the ValidityCache under a fingerprint of the concrete
-      // plan; prepared executions consult the sharded StatementCache
-      // under (parameterized-statement fingerprint, params+arguments
-      // fingerprint) so the per-call key computation is a few multiplies
-      // instead of a plan-tree walk. Both carry catalog version + policy
-      // epoch and fail closed on either changing.
-      uint64_t fp = 0;
-      if (prep == nullptr) {
-        fp = algebra::PlanFingerprint(plan);
-        for (const auto& [name, value] : ctx.params()) {
-          fp = fp * 1099511628211ULL ^ std::hash<std::string>()(name);
-          fp = fp * 1099511628211ULL ^ value.Hash();
-        }
-      }
-      auto stmt_key = [&]() -> StatementCache::Key {
-        return StatementCache::Key{ctx.user(), prep->stmt_fp, *prep->text,
-                                   catalog_version(), policy_epoch()};
-      };
+      // The verdict is keyed by everything it depends on: the statement
+      // (fingerprint, confirmed by its canonical text) AND the full session
+      // parameterization plus EXECUTE arguments (a $term or $user-location
+      // change re-instantiates the views).
       ValidityReport cached_report;
-      bool cached = false;
-      if (options_.enable_validity_cache) {
-        cached = prep != nullptr
-                     ? stmt_cache_.LookupVerdict(stmt_key(), prep->exec_fp,
-                                                 data_version(),
-                                                 &cached_report)
-                     : cache_.Lookup(ctx.user(), fp, catalog_version(),
-                                     policy_epoch(), data_version(),
-                                     &cached_report);
-      }
+      bool cached = options_.enable_validity_cache &&
+                    stmt_cache_.LookupVerdict(cache_key, key.exec_fp,
+                                              data_version(), &cached_report);
       if (cached) {
         out.validity = std::move(cached_report);
         out.validity_from_cache = true;
-        if (prep != nullptr && act != nullptr) act->NoteCacheHit();
+        if (act != nullptr) act->NoteCacheHit();
         metrics_.counter("validity.cache_hits").Increment();
         if (trace != nullptr) {
           ValidityTraceEvent e;
@@ -808,13 +796,8 @@ Result<ExecResult> Database::RunSelectImpl(const PlanPtr& plan,
         if (out.validity.probe_budget_exhausted) {
           metrics_.counter("validity.probe_budget_exhausted").Increment();
         } else if (options_.enable_validity_cache) {
-          if (prep != nullptr) {
-            stmt_cache_.InsertVerdict(stmt_key(), prep->exec_fp,
-                                      data_version(), out.validity);
-          } else {
-            cache_.Insert(ctx.user(), fp, catalog_version(), policy_epoch(),
-                          data_version(), out.validity);
-          }
+          stmt_cache_.InsertVerdict(cache_key, key.exec_fp, data_version(),
+                                    out.validity);
         }
       }
       uint64_t validity_ns = elapsed_ns(validity_t0);
@@ -937,22 +920,6 @@ void Database::MaybeCaptureSlowQuery(const SessionContext& ctx,
   }
   slow_log_.Add(std::move(rec));
 }
-
-namespace {
-
-/// FNV fingerprint of the session parameterization (name -> value, in the
-/// map's sorted order) — the cache dimension that captures $user-id-style
-/// session parameters feeding view instantiation.
-uint64_t SessionParamsFingerprint(const SessionContext& ctx) {
-  uint64_t fp = 1469598103934665603ULL;
-  for (const auto& [name, value] : ctx.params()) {
-    fp = fp * 1099511628211ULL ^ std::hash<std::string>()(name);
-    fp = fp * 1099511628211ULL ^ value.Hash();
-  }
-  return fp;
-}
-
-}  // namespace
 
 Result<std::shared_ptr<PreparedStatement>> Database::Prepare(
     const sql::PrepareStmt& stmt, const SessionContext& ctx) {
@@ -1108,14 +1075,9 @@ Result<ExecResult> Database::ExecutePreparedImpl(
           : algebra::NormalizePlan(
                 algebra::BindPlanParams(parameterized, bindings));
 
-  PreparedRun run;
-  run.stmt_fp = stmt_fp;
-  run.params_fp = params_fp;
-  run.exec_fp = exec_fp;
-  run.text = &prep.text;
-  run.parameterized = &parameterized;
-  run.bindings = &bindings;
-  return RunSelect(concrete, ctx, profile, audit, &run);
+  return RunSelect(concrete, ctx, profile, audit,
+                   StatementKey{stmt_fp, params_fp, exec_fp, prep.text,
+                                parameterized, bindings});
 }
 
 void Database::AuditSessionStatement(const SessionContext& ctx,

@@ -1,13 +1,17 @@
 #include "core/statement_cache.h"
 
-#include <algorithm>
 #include <functional>
 
 namespace fgac::core {
 
-StatementCache::StatementCache(size_t max_entries) {
-  size_t total = max_entries == 0 ? 1 : max_entries;
-  max_per_shard_ = std::max<size_t>(1, total / kShards);
+StatementCache::StatementCache(size_t max_entries)
+    : max_entries_(max_entries == 0 ? 1 : max_entries) {
+  // The shard budgets sum to the configured total: the first
+  // max_entries_ % kShards shards take one entry more than the rest.
+  for (size_t i = 0; i < kShards; ++i) {
+    shards_[i].max_entries =
+        max_entries_ / kShards + (i < max_entries_ % kShards ? 1 : 0);
+  }
 }
 
 uint64_t StatementCache::EntryKey(const std::string& user,
@@ -49,7 +53,7 @@ StatementCache::Entry* StatementCache::FindFresh(Shard& shard,
   return &entry;
 }
 
-StatementCache::Entry& StatementCache::UpsertEntry(Shard& shard,
+StatementCache::Entry* StatementCache::UpsertEntry(Shard& shard,
                                                    uint64_t entry_key,
                                                    const Key& key) {
   auto it = shard.entries.find(entry_key);
@@ -66,9 +70,15 @@ StatementCache::Entry& StatementCache::UpsertEntry(Shard& shard,
       entry.policy_epoch = key.policy_epoch;
     }
     shard.lru.splice(shard.lru.begin(), shard.lru, entry.lru_pos);
-    return entry;
+    return &entry;
   }
-  while (shard.entries.size() >= max_per_shard_) {
+  if (shard.max_entries == 0) {
+    // The new entry is dropped at once, like an eviction.
+    evictions_.fetch_add(1, std::memory_order_relaxed);
+    shard.evictions.fetch_add(1, std::memory_order_relaxed);
+    return nullptr;
+  }
+  while (shard.entries.size() >= shard.max_entries) {
     shard.entries.erase(shard.lru.back());
     shard.lru.pop_back();
     evictions_.fetch_add(1, std::memory_order_relaxed);
@@ -80,7 +90,7 @@ StatementCache::Entry& StatementCache::UpsertEntry(Shard& shard,
   entry.catalog_version = key.catalog_version;
   entry.policy_epoch = key.policy_epoch;
   entry.lru_pos = shard.lru.begin();
-  return entry;
+  return &entry;
 }
 
 algebra::PlanPtr StatementCache::LookupTrumanPlan(const Key& key,
@@ -107,12 +117,13 @@ void StatementCache::InsertTrumanPlan(const Key& key, uint64_t params_fp,
   uint64_t ek = EntryKey(key.user, key.stmt_fp);
   Shard& shard = ShardFor(ek);
   std::lock_guard<std::mutex> lock(shard.mu);
-  Entry& entry = UpsertEntry(shard, ek, key);
-  if (entry.truman_plans.size() >= kMaxVariants &&
-      entry.truman_plans.find(params_fp) == entry.truman_plans.end()) {
-    entry.truman_plans.erase(entry.truman_plans.begin());
+  Entry* entry = UpsertEntry(shard, ek, key);
+  if (entry == nullptr) return;
+  if (entry->truman_plans.size() >= kMaxVariants &&
+      entry->truman_plans.find(params_fp) == entry->truman_plans.end()) {
+    entry->truman_plans.erase(entry->truman_plans.begin());
   }
-  entry.truman_plans[params_fp] = std::move(plan);
+  entry->truman_plans[params_fp] = std::move(plan);
 }
 
 bool StatementCache::LookupVerdict(const Key& key, uint64_t exec_fp,
@@ -126,9 +137,9 @@ bool StatementCache::LookupVerdict(const Key& key, uint64_t exec_fp,
     auto it = entry->verdicts.find(exec_fp);
     if (it != entry->verdicts.end()) {
       const CachedVerdict& v = it->second;
-      // Same rule as ValidityCache: only unconditionally-valid verdicts
-      // survive data changes; conditional verdicts and rejections hinge on
-      // the rows present when they were computed.
+      // Only unconditionally-valid verdicts survive data changes;
+      // conditional verdicts and rejections hinge on the rows present when
+      // they were computed.
       bool data_sensitive = !v.report.valid || !v.report.unconditional;
       if (data_sensitive && v.data_version != data_version) {
         entry->verdicts.erase(it);
@@ -152,15 +163,16 @@ void StatementCache::InsertVerdict(const Key& key, uint64_t exec_fp,
   uint64_t ek = EntryKey(key.user, key.stmt_fp);
   Shard& shard = ShardFor(ek);
   std::lock_guard<std::mutex> lock(shard.mu);
-  Entry& entry = UpsertEntry(shard, ek, key);
-  if (entry.verdicts.size() >= kMaxVariants &&
-      entry.verdicts.find(exec_fp) == entry.verdicts.end()) {
-    entry.verdicts.erase(entry.verdicts.begin());
+  Entry* entry = UpsertEntry(shard, ek, key);
+  if (entry == nullptr) return;
+  if (entry->verdicts.size() >= kMaxVariants &&
+      entry->verdicts.find(exec_fp) == entry->verdicts.end()) {
+    entry->verdicts.erase(entry->verdicts.begin());
   }
   CachedVerdict v;
   v.report = std::move(report);
   v.data_version = data_version;
-  entry.verdicts[exec_fp] = std::move(v);
+  entry->verdicts[exec_fp] = std::move(v);
 }
 
 void StatementCache::Clear() {

@@ -45,19 +45,20 @@ struct PreparedStatement {
   uint64_t session_params_fp = 0;
 };
 
-/// Sharded per-principal enforcement cache for prepared statements (paper
-/// Section 5.6 taken to steady state): once a (principal, statement) pair
-/// has been through the Truman rewriter or the Non-Truman validity
-/// checker, re-executions skip that work entirely.
+/// Sharded per-principal enforcement cache (paper Section 5.6 taken to
+/// steady state): once a (principal, statement) pair has been through the
+/// Truman rewriter or the Non-Truman validity checker, re-executions skip
+/// that work entirely. It serves every SELECT: an ad-hoc SELECT is keyed
+/// as a zero-argument execution of its bound plan, a prepared EXECUTE by
+/// its parameterized plan.
 ///
-/// Key = (principal, structural fingerprint of the PARAMETERIZED bound
-/// plan), with the canonical statement text stored alongside and compared
-/// on every hit — a fingerprint collision between distinct statements
-/// degrades to a miss, never to a cross-statement reuse. Each entry
-/// carries:
-///   * Truman-rewritten parameterized plans, keyed by the session-parameter
-///     fingerprint (the rewrite instantiates policy views with session
-///     parameters, but is independent of EXECUTE arguments);
+/// Key = (principal, structural fingerprint of the bound plan), with the
+/// canonical statement text stored alongside and compared on every hit —
+/// a fingerprint collision between distinct statements degrades to a
+/// miss, never to a cross-statement reuse. Each entry carries:
+///   * Truman-rewritten plans, keyed by the session-parameter fingerprint
+///     (the rewrite instantiates policy views with session parameters,
+///     but is independent of EXECUTE arguments);
 ///   * Non-Truman validity verdicts, keyed by the (session params +
 ///     EXECUTE arguments) fingerprint, since the verdict may hinge on the
 ///     concrete constants.
@@ -66,15 +67,17 @@ struct PreparedStatement {
 /// catalog version and the catalog's policy epoch it was built under; a
 /// lookup under any newer version/epoch erases the whole entry and
 /// re-runs enforcement. Data-sensitive verdicts (conditional or rejected)
-/// additionally record the data version and are dropped when it advances,
-/// mirroring ValidityCache. Verdicts reached with the probe budget
-/// exhausted are never inserted.
+/// additionally record the data version and are dropped when it advances
+/// ("assuming no underlying data on which it depends changes"). Verdicts
+/// reached with the probe budget exhausted are never inserted.
 ///
 /// Shard layout: kShards fixed shards, each a mutex + hash map + LRU list.
 /// The shard index is the key hash's low bits, so concurrent sessions
-/// executing different statements contend on different mutexes; the inner
-/// variant maps are bounded (kMaxVariants) so one statement executed with
-/// endless distinct arguments cannot grow an entry without bound.
+/// executing different statements contend on different mutexes. The
+/// shards' entry budgets sum to the configured capacity exactly (below
+/// kShards entries, some shards get a budget of 0 and cache nothing); the
+/// inner variant maps are bounded (kMaxVariants) so one statement executed
+/// with endless distinct arguments cannot grow an entry without bound.
 class StatementCache {
  public:
   static constexpr size_t kShards = 16;
@@ -108,6 +111,8 @@ class StatementCache {
 
   void Clear();
   size_t size() const;
+  /// The configured capacity; size() never exceeds it.
+  size_t max_entries() const { return max_entries_; }
 
   uint64_t hits() const { return hits_.load(std::memory_order_relaxed); }
   uint64_t misses() const { return misses_.load(std::memory_order_relaxed); }
@@ -154,6 +159,8 @@ class StatementCache {
   };
 
   struct Shard {
+    /// This shard's share of max_entries_ (0 = the shard caches nothing).
+    size_t max_entries = 0;
     mutable std::mutex mu;
     std::unordered_map<uint64_t, Entry> entries;
     std::list<uint64_t> lru;  // front = most recently used
@@ -173,10 +180,11 @@ class StatementCache {
   Entry* FindFresh(Shard& shard, uint64_t entry_key, const Key& key);
 
   /// Finds-or-creates a fresh entry for inserts (a stale or colliding
-  /// entry is replaced). Caller holds the shard mutex.
-  Entry& UpsertEntry(Shard& shard, uint64_t entry_key, const Key& key);
+  /// entry is replaced). Returns nullptr when the shard's budget is 0.
+  /// Caller holds the shard mutex.
+  Entry* UpsertEntry(Shard& shard, uint64_t entry_key, const Key& key);
 
-  size_t max_per_shard_;
+  size_t max_entries_;
   std::array<Shard, kShards> shards_;
   std::atomic<uint64_t> hits_{0};
   std::atomic<uint64_t> misses_{0};

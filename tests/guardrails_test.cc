@@ -389,12 +389,12 @@ TEST_F(GuardrailsTest, DegradedVerdictIsNeverCached) {
 }
 
 // ---------------------------------------------------------------------------
-// Bounded validity cache
+// Bounded verdict cache
 // ---------------------------------------------------------------------------
 
 TEST_F(GuardrailsTest, ValidityCacheEvictsAtCapacity) {
   DatabaseOptions options;
-  options.validity_cache_capacity = 4;
+  options.statement_cache_capacity = 4;
   Database db(std::move(options));
   SetupUniversity(&db);
   CreateUniversityViews(&db);
@@ -409,25 +409,9 @@ TEST_F(GuardrailsTest, ValidityCacheEvictsAtCapacity) {
                         ctx);
     ASSERT_TRUE(r.ok()) << r.status().ToString();
   }
-  EXPECT_LE(db.validity_cache().size(), 4u);
-  EXPECT_EQ(db.validity_cache().max_entries(), 4u);
-  EXPECT_GE(db.validity_cache().evictions(), 16u);
-}
-
-TEST(ValidityCacheLruTest, RecentlyUsedEntrySurvivesEviction) {
-  core::ValidityCache cache(2);
-  core::ValidityReport report;
-  report.valid = true;
-  report.unconditional = true;
-  cache.Insert("u", 1, 1, 1, 1, report);
-  cache.Insert("u", 2, 1, 1, 1, report);
-  // Touch 1 so 2 becomes the LRU victim.
-  EXPECT_TRUE(cache.Lookup("u", 1, 1, 1, 1, nullptr));
-  cache.Insert("u", 3, 1, 1, 1, report);
-  EXPECT_TRUE(cache.Lookup("u", 1, 1, 1, 1, nullptr));
-  EXPECT_FALSE(cache.Lookup("u", 2, 1, 1, 1, nullptr));
-  EXPECT_TRUE(cache.Lookup("u", 3, 1, 1, 1, nullptr));
-  EXPECT_EQ(cache.evictions(), 1u);
+  EXPECT_LE(db.statement_cache().size(), 4u);
+  EXPECT_EQ(db.statement_cache().max_entries(), 4u);
+  EXPECT_GE(db.statement_cache().evictions(), 16u);
 }
 
 // ---------------------------------------------------------------------------

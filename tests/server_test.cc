@@ -277,9 +277,17 @@ TEST_F(ServerTest, CloseDrainsInFlightStatements) {
 // bit-for-bit right; failures must be fail-closed codes.
 TEST_F(ServerTest, InterleavedLifecycleSweep) {
   ConnectionManager cm(db_);
+  const std::string truman_sql =
+      "select grade from grades where course-id = 'cs101'";
+  // The Non-Truman form of the same question: in mygrades, so valid.
+  const std::string non_truman_sql =
+      "select grade from grades where student-id = '11' "
+      "and course-id = 'cs101'";
   std::string expect_truman =
-      AdHoc("select grade from grades where course-id = 'cs101'", "11",
-            EnforcementMode::kTruman);
+      AdHoc(truman_sql, "11", EnforcementMode::kTruman);
+  std::string expect_non_truman =
+      AdHoc(non_truman_sql, "11", EnforcementMode::kNonTruman);
+  EXPECT_EQ(expect_non_truman, expect_truman);
   std::string expect_plain =
       AdHoc("select name from students where type = 'fulltime'", "admin",
             EnforcementMode::kNone);
@@ -326,6 +334,25 @@ TEST_F(ServerTest, InterleavedLifecycleSweep) {
             ADD_FAILURE() << r.status().ToString();
           }
           if (j == 1 && i % 3 == 0) s->Interrupt();
+        }
+        if (truman) {
+          // Ad-hoc SELECTs from every thread share the cached Truman
+          // rewrite and Non-Truman verdict entries.
+          for (EnforcementMode mode :
+               {EnforcementMode::kTruman, EnforcementMode::kNonTruman}) {
+            s->context().set_mode(mode);
+            bool is_truman = mode == EnforcementMode::kTruman;
+            auto r = s->Execute(is_truman ? truman_sql : non_truman_sql);
+            if (r.ok()) {
+              const std::string& expect =
+                  is_truman ? expect_truman : expect_non_truman;
+              if (SortedRowsToString(r.value().relation) != expect) {
+                wrong.fetch_add(1, std::memory_order_relaxed);
+              }
+            } else if (!fail_closed(r.status().code())) {
+              ADD_FAILURE() << r.status().ToString();
+            }
+          }
         }
         if (i % 2 == 0) {
           cm.Close(s->id());

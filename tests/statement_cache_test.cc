@@ -2,6 +2,7 @@
 // fingerprint-collision tiebreaks) plus the end-to-end policy-epoch
 // regression tests: a cached verdict or rewrite must never outlive a
 // change to the policy state it was computed under.
+#include <algorithm>
 #include <string>
 #include <vector>
 
@@ -46,6 +47,22 @@ TEST(StatementCacheTest, TrumanPlanHitAfterInsert) {
   // A different session-parameter fingerprint is a different rewrite.
   EXPECT_EQ(cache.LookupTrumanPlan(key, 2), nullptr);
   EXPECT_EQ(cache.hits(), 1u);
+}
+
+TEST(StatementCacheTest, VerdictHitAfterInsert) {
+  StatementCache cache;
+  std::string user = "u", text = "select a from t";
+  StatementCache::Key key{user, 7, text, 1, 1};
+  ValidityReport out;
+  EXPECT_FALSE(cache.LookupVerdict(key, 1, 1, &out));
+  cache.InsertVerdict(key, 1, 1, Accepted(true));
+  ASSERT_TRUE(cache.LookupVerdict(key, 1, 1, &out));
+  EXPECT_TRUE(out.valid);
+  EXPECT_EQ(cache.hits(), 1u);
+  EXPECT_EQ(cache.misses(), 1u);
+  // A different statement fingerprint is a different entry.
+  StatementCache::Key other{user, 8, text, 1, 1};
+  EXPECT_FALSE(cache.LookupVerdict(other, 1, 1, &out));
 }
 
 TEST(StatementCacheTest, KeyedByPrincipal) {
@@ -123,16 +140,49 @@ TEST(StatementCacheTest, ProbeBudgetExhaustedVerdictsAreNotCached) {
 }
 
 TEST(StatementCacheTest, LruEvictionBoundsEntries) {
-  // One shard's worth of capacity. Keys land in different shards, so size
-  // can exceed max/kShards transiently — but never the configured total.
-  StatementCache cache(/*max_entries=*/StatementCache::kShards);
-  std::string user = "u", text = "q";
-  for (uint64_t fp = 0; fp < 4 * StatementCache::kShards; ++fp) {
-    StatementCache::Key key{user, fp, text, 1, 1};
-    cache.InsertTrumanPlan(key, 1, TrivialPlan());
+  // The shard budgets sum to the configured total, also for capacities
+  // that are below kShards or not a multiple of it.
+  for (size_t capacity : {StatementCache::kShards, size_t{1}, size_t{4},
+                          size_t{17}, size_t{100}}) {
+    SCOPED_TRACE(capacity);
+    StatementCache cache(capacity);
+    std::string user = "u", text = "q";
+    // Consecutive fingerprints cycle through every shard, so each shard
+    // sees more inserts than its budget.
+    const uint64_t inserts = 4 * std::max(capacity, StatementCache::kShards);
+    for (uint64_t fp = 0; fp < inserts; ++fp) {
+      StatementCache::Key key{user, fp, text, 1, 1};
+      cache.InsertTrumanPlan(key, 1, TrivialPlan());
+    }
+    EXPECT_LE(cache.size(), capacity);
+    EXPECT_GE(cache.evictions(), 1u);
+    // Every shard filled its budget, so the cache holds exactly its
+    // capacity.
+    EXPECT_EQ(cache.size(), capacity);
+    EXPECT_EQ(cache.evictions(), inserts - capacity);
   }
-  EXPECT_LE(cache.size(), StatementCache::kShards);
-  EXPECT_GE(cache.evictions(), 1u);
+}
+
+TEST(StatementCacheTest, RecentlyUsedEntrySurvivesEviction) {
+  // Two entries per shard. Fingerprints with equal low 4 bits land in the
+  // same shard, so the third insert evicts that shard's LRU entry.
+  StatementCache cache(/*max_entries=*/2 * StatementCache::kShards);
+  std::string user = "u", text = "q";
+  const uint64_t a = 1, b = a + StatementCache::kShards,
+                 c = a + 2 * StatementCache::kShards;
+  StatementCache::Key ka{user, a, text, 1, 1};
+  StatementCache::Key kb{user, b, text, 1, 1};
+  StatementCache::Key kc{user, c, text, 1, 1};
+  cache.InsertVerdict(ka, 1, 1, Accepted(true));
+  cache.InsertVerdict(kb, 1, 1, Accepted(true));
+  ValidityReport out;
+  // Touch a so b becomes the LRU victim.
+  EXPECT_TRUE(cache.LookupVerdict(ka, 1, 1, &out));
+  cache.InsertVerdict(kc, 1, 1, Accepted(true));
+  EXPECT_TRUE(cache.LookupVerdict(ka, 1, 1, &out));
+  EXPECT_FALSE(cache.LookupVerdict(kb, 1, 1, &out));
+  EXPECT_TRUE(cache.LookupVerdict(kc, 1, 1, &out));
+  EXPECT_EQ(cache.evictions(), 1u);
 }
 
 TEST(StatementCacheTest, VariantMapsAreBounded) {
@@ -192,7 +242,9 @@ TEST_F(PolicyEpochTest, CachedVerdictDiesWhenAuthorizationNarrows) {
 }
 
 // Same property for the Truman side: a cached rewritten plan must be
-// rebuilt when the table's Truman policy binding changes.
+// rebuilt when the table's Truman policy binding changes. The prepared
+// EXECUTE and the same SELECT run ad hoc each keep their rewrite in the
+// statement cache.
 TEST_F(PolicyEpochTest, CachedTrumanPlanDiesWhenPolicyChanges) {
   ASSERT_TRUE(db_.catalog().SetTrumanView("grades", "mygrades").ok());
   ConnectionManager cm(db_);
@@ -200,9 +252,24 @@ TEST_F(PolicyEpochTest, CachedTrumanPlanDiesWhenPolicyChanges) {
   ASSERT_TRUE(s->Execute("prepare q as select grade from grades "
                          "where course-id = $1")
                   .ok());
+  const std::string ad_hoc =
+      "select grade from grades where course-id = 'cs101'";
   auto r = s->Execute("execute q ('cs101')");
   ASSERT_TRUE(r.ok()) << r.status().ToString();
   EXPECT_EQ(r.value().relation.num_rows(), 1u);  // own cs101 grade
+  auto first = s->Execute(ad_hoc);
+  ASSERT_TRUE(first.ok()) << first.status().ToString();
+  EXPECT_FALSE(first.value().truman_plan_from_cache);
+  auto second = s->Execute(ad_hoc);
+  ASSERT_TRUE(second.ok()) << second.status().ToString();
+  EXPECT_TRUE(second.value().truman_plan_from_cache);
+  EXPECT_EQ(second.value().relation.num_rows(), 1u);
+  // The ad-hoc hit is the session's only cache hit so far.
+  auto sessions = testing::MustQueryAdmin(
+      &db_, "select cache_hits from fgac_sessions where session_id = '" +
+                s->id() + "'");
+  ASSERT_EQ(sessions.num_rows(), 1u);
+  EXPECT_EQ(sessions.rows()[0][0].int_value(), 1);
 
   // Rebind the policy to a view that exposes nothing.
   ASSERT_TRUE(
@@ -215,9 +282,13 @@ TEST_F(PolicyEpochTest, CachedTrumanPlanDiesWhenPolicyChanges) {
   auto after = s->Execute("execute q ('cs101')");
   ASSERT_TRUE(after.ok()) << after.status().ToString();
   EXPECT_EQ(after.value().relation.num_rows(), 0u);
+  auto ad_hoc_after = s->Execute(ad_hoc);
+  ASSERT_TRUE(ad_hoc_after.ok()) << ad_hoc_after.status().ToString();
+  EXPECT_FALSE(ad_hoc_after.value().truman_plan_from_cache);
+  EXPECT_EQ(ad_hoc_after.value().relation.num_rows(), 0u);
 }
 
-// Ad-hoc (non-prepared) Non-Truman queries go through ValidityCache; the
+// Ad-hoc (non-prepared) Non-Truman queries share the statement cache; the
 // epoch must gate those too.
 TEST_F(PolicyEpochTest, AdHocVerdictCacheRespectsEpoch) {
   const char* sql =
