@@ -357,21 +357,18 @@ Result<Relation> Database::RunPlan(const PlanPtr& plan,
   if (g_current_activity != nullptr) {
     dag_opts.progress = &g_current_activity->progress();
   }
-  if (!options_.optimize_execution) {
-    if (stats != nullptr) stats->SetExecutedPlan(plan);
-    return exec::ParallelExecutePlan(plan, state_, threads, guard, stats,
-                                     trace, dag_opts);
-  }
+  if (stats != nullptr) stats->SetExecutedPlan(plan);
+  return exec::ParallelExecutePlan(plan, state_, threads, guard, stats, trace,
+                                   dag_opts);
+}
+
+Result<optimizer::OptimizeResult> Database::OptimizeForExecution(
+    const PlanPtr& plan) const {
   auto row_count = [this](const std::string& table) -> double {
     const storage::TableData* t = state_.GetTable(table);
     return t == nullptr ? 1000.0 : static_cast<double>(t->num_rows());
   };
-  FGAC_ASSIGN_OR_RETURN(
-      optimizer::OptimizeResult best,
-      optimizer::Optimize(plan, options_.exec_expand, row_count));
-  if (stats != nullptr) stats->SetExecutedPlan(best.plan);
-  return exec::ParallelExecutePlan(best.plan, state_, threads, guard, stats,
-                                   trace, dag_opts);
+  return optimizer::Optimize(plan, options_.exec_expand, row_count);
 }
 
 void Database::RefreshExportGauges() {
@@ -501,8 +498,14 @@ Result<ExecResult> Database::ExecuteSelectImpl(const sql::SelectStmt& stmt,
                                                common::AuditEvent* audit) {
   FGAC_ASSIGN_OR_RETURN(PlanPtr plan, BindQuery(stmt, ctx));
   // An ad-hoc SELECT is a zero-argument execution of its bound plan, keyed
-  // in the statement cache like a prepared EXECUTE.
+  // in the statement cache like a prepared EXECUTE. An unenforced one never
+  // reads the cache, so it skips the key's text and fingerprints.
   static const std::map<std::string, Value> kNoBindings;
+  if (ctx.mode() == EnforcementMode::kNone) {
+    static const std::string kNoText;
+    return RunSelect(plan, ctx, profile, audit,
+                     StatementKey{0, 0, 0, kNoText, plan, kNoBindings});
+  }
   uint64_t params_fp = SessionParamsFingerprint(ctx);
   std::string text = sql::SelectToSql(stmt);
   return RunSelect(plan, ctx, profile, audit,
@@ -827,11 +830,30 @@ Result<ExecResult> Database::RunSelectImpl(const PlanPtr& plan,
     act->StampGuard(guard.rows_charged(), guard.bytes_charged());
     act->set_phase(common::StatementPhase::kExec);
   }
+  PlanPtr exec_plan = to_run;
+  if (options_.optimize_execution) {
+    auto optimize_t0 = Clock::now();
+    Result<optimizer::OptimizeResult> best = [&] {
+      common::ScopedSpan optimize_span(tctx, "optimize");
+      Result<optimizer::OptimizeResult> r = OptimizeForExecution(to_run);
+      if (r.ok()) {
+        optimize_span.set_detail(
+            "leaves=" + std::to_string(r.value().join_leaves) +
+            " splits=" + std::to_string(r.value().join_splits));
+      }
+      return r;
+    }();
+    uint64_t optimize_ns = elapsed_ns(optimize_t0);
+    metrics_.histogram("optimizer.optimize_us").Record(optimize_ns / 1000);
+    if (stats != nullptr) stats->set_optimize_nanos(optimize_ns);
+    FGAC_RETURN_NOT_OK(best.status());
+    exec_plan = best.value().plan;
+  }
   auto exec_t0 = Clock::now();
   Result<Relation> ran = [&] {
     common::ScopedSpan exec_span(tctx, "exec");
     common::TraceContext exec_ctx = exec_span.ChildContext();
-    return RunPlan(to_run, ctx, &guard, stats,
+    return RunPlan(exec_plan, ctx, &guard, stats,
                    tctx != nullptr ? &exec_ctx : nullptr);
   }();
   uint64_t exec_ns = elapsed_ns(exec_t0);
@@ -1216,13 +1238,8 @@ Result<ExecResult> Database::ExecuteExplain(const sql::ExplainStmt& stmt,
   FGAC_ASSIGN_OR_RETURN(PlanPtr plan, BindQuery(*stmt.select, ctx));
   std::string text = "canonical plan:\n" + algebra::PlanToString(plan);
 
-  auto row_count = [this](const std::string& table) -> double {
-    const storage::TableData* t = state_.GetTable(table);
-    return t == nullptr ? 1000.0 : static_cast<double>(t->num_rows());
-  };
-  FGAC_ASSIGN_OR_RETURN(
-      optimizer::OptimizeResult best,
-      optimizer::Optimize(plan, options_.exec_expand, row_count));
+  FGAC_ASSIGN_OR_RETURN(optimizer::OptimizeResult best,
+                        OptimizeForExecution(plan));
   text += "optimized plan (est. cost " + std::to_string(best.estimated_cost) +
           ", est. rows " + std::to_string(best.estimated_rows) + "):\n" +
           algebra::PlanToString(best.plan);

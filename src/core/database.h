@@ -27,6 +27,7 @@
 #include "core/watchdog.h"
 #include "exec/admission.h"
 #include "exec/exec_stats.h"
+#include "optimizer/optimizer.h"
 #include "sql/ast.h"
 #include "storage/database_state.h"
 #include "storage/relation.h"
@@ -358,14 +359,18 @@ class Database {
   Result<ExecResult> ApplyAuthorize(const sql::AuthorizeStmt& stmt);
   Result<ExecResult> ApplyDrop(const sql::DropStmt& stmt);
 
-  /// Optimizes (optionally) and executes a plan through the morsel-driven
-  /// parallel executor (serial when the resolved parallelism is 1).
-  /// `guard` (may be null) limits the execution.
+  /// Executes a plan through the morsel-driven parallel executor (serial
+  /// when the resolved parallelism is 1). `guard` (may be null) limits the
+  /// execution.
   Result<storage::Relation> RunPlan(const algebra::PlanPtr& plan,
                                     const SessionContext& ctx,
                                     common::QueryGuard* guard,
                                     exec::ExecStats* stats = nullptr,
                                     const common::TraceContext* trace = nullptr);
+  /// The cost-based plan for executing `plan`, priced with live table row
+  /// counts under `exec_expand`.
+  Result<optimizer::OptimizeResult> OptimizeForExecution(
+      const algebra::PlanPtr& plan) const;
 
   /// Stamps duration / status / error / rows_out / default verdict into
   /// `ev` and appends it to the audit log (no-op when auditing is off).

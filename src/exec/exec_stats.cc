@@ -112,6 +112,9 @@ std::string ExecStats::Render() const {
   if (validity_nanos_ > 0) {
     out += " (validity check: " + FormatMillis(validity_nanos_) + ")";
   }
+  if (optimize_nanos_ > 0) {
+    out += " (optimize: " + FormatMillis(optimize_nanos_) + ")";
+  }
   out.push_back('\n');
   if (threads_ > 1 && !worker_morsels_.empty()) {
     out += "morsels per worker:";

@@ -91,8 +91,10 @@ class ExecStats {
 
   // Phase wall times, recorded by the Database facade.
   void set_validity_nanos(uint64_t n) { validity_nanos_ = n; }
+  void set_optimize_nanos(uint64_t n) { optimize_nanos_ = n; }
   void set_exec_nanos(uint64_t n) { exec_nanos_ = n; }
   uint64_t validity_nanos() const { return validity_nanos_; }
+  uint64_t optimize_nanos() const { return optimize_nanos_; }
   uint64_t exec_nanos() const { return exec_nanos_; }
 
   /// EXPLAIN ANALYZE rendering: the executed plan annotated per operator
@@ -108,6 +110,7 @@ class ExecStats {
   std::vector<uint64_t> worker_morsels_;
   std::vector<PipelineStat> pipelines_;
   uint64_t validity_nanos_ = 0;
+  uint64_t optimize_nanos_ = 0;
   uint64_t exec_nanos_ = 0;
 };
 

@@ -11,6 +11,116 @@ using algebra::ScalarPtr;
 
 namespace {
 
+bool HasEquiJoinPair(const std::vector<ScalarPtr>& preds, size_t left_arity) {
+  for (const ScalarPtr& p : preds) {
+    if (p->kind != ScalarKind::kBinary || p->bin_op != sql::BinOp::kEq) continue;
+    std::set<int> l, r;
+    algebra::CollectSlots(p->left, &l);
+    algebra::CollectSlots(p->right, &r);
+    auto side = [&](const std::set<int>& s) {
+      if (s.empty()) return 0;  // constant
+      if (*s.rbegin() < static_cast<int>(left_arity)) return 1;
+      if (*s.begin() >= static_cast<int>(left_arity)) return 2;
+      return 3;  // mixed
+    };
+    int sl = side(l), sr = side(r);
+    if ((sl == 1 && sr == 2) || (sl == 2 && sr == 1)) return true;
+  }
+  return false;
+}
+
+/// One operator's estimate from its inputs' estimates. `Node` is a
+/// MemoExpr or an algebra::Plan (same payload fields); Gets are priced by
+/// the caller. `left_arity` is read for joins only.
+template <typename Node>
+CostEstimate OperatorCost(const Node& e, const std::vector<CostEstimate>& in,
+                          size_t left_arity) {
+  CostEstimate out;
+  switch (e.kind) {
+    case PlanKind::kGet:
+      // Gets have no inputs; the caller prices the scan with ScanCost.
+      out.rows = 1000.0;
+      out.cost = out.rows;
+      return out;
+    case PlanKind::kValues:
+      out.rows = static_cast<double>(e.rows.size());
+      out.cost = out.rows;
+      return out;
+    case PlanKind::kSelect:
+      out.rows = std::max(1.0, in[0].rows * PredicateSelectivity(e.predicates));
+      out.cost = in[0].cost + in[0].rows;
+      return out;
+    case PlanKind::kProject:
+      out.rows = in[0].rows;
+      out.cost = in[0].cost + in[0].rows;
+      return out;
+    case PlanKind::kJoin: {
+      bool equi = HasEquiJoinPair(e.predicates, left_arity);
+      return JoinCost(in[0], in[1], !e.predicates.empty(), equi,
+                      equi ? 1.0 : PredicateSelectivity(e.predicates));
+    }
+    case PlanKind::kAggregate:
+      out.rows = e.group_by.empty() ? 1.0 : std::max(1.0, in[0].rows * 0.1);
+      out.cost = in[0].cost + 2.0 * in[0].rows;
+      return out;
+    case PlanKind::kDistinct:
+      out.rows = std::max(1.0, in[0].rows * 0.5);
+      out.cost = in[0].cost + 2.0 * in[0].rows;
+      return out;
+    case PlanKind::kSort:
+      out.rows = in[0].rows;
+      out.cost = in[0].cost + in[0].rows * std::log2(in[0].rows + 2.0);
+      return out;
+    case PlanKind::kLimit:
+      out.rows = std::min(in[0].rows, static_cast<double>(e.limit));
+      out.cost = in[0].cost;
+      return out;
+    case PlanKind::kUnionAll:
+      for (const CostEstimate& c : in) {
+        out.rows += c.rows;
+        out.cost += c.cost + c.rows;
+      }
+      return out;
+  }
+  return out;
+}
+
+/// EstimatePlanCost plus the plan's output arity (joins need their left
+/// input's arity), computed in one walk.
+CostEstimate PlanCostRec(const algebra::Plan& plan,
+                         const TableRowCount& row_count, size_t* arity) {
+  if (plan.kind == PlanKind::kGet) {
+    *arity = plan.get_columns.size();
+    return ScanCost(plan.table, row_count);
+  }
+  std::vector<CostEstimate> in;
+  std::vector<size_t> arities(plan.children.size(), 0);
+  in.reserve(plan.children.size());
+  for (size_t i = 0; i < plan.children.size(); ++i) {
+    in.push_back(PlanCostRec(*plan.children[i], row_count, &arities[i]));
+  }
+  switch (plan.kind) {
+    case PlanKind::kJoin:
+      *arity = arities[0] + arities[1];
+      break;
+    case PlanKind::kProject:
+      *arity = plan.exprs.size();
+      break;
+    case PlanKind::kAggregate:
+      *arity = plan.group_by.size() + plan.aggs.size();
+      break;
+    case PlanKind::kValues:
+      *arity = plan.values_arity;
+      break;
+    default:
+      *arity = arities.empty() ? 0 : arities[0];
+      break;
+  }
+  return OperatorCost(plan, in, arities.empty() ? 0 : arities[0]);
+}
+
+}  // namespace
+
 double ConjunctSelectivity(const ScalarPtr& p) {
   if (p->kind == ScalarKind::kBinary) {
     switch (p->bin_op) {
@@ -33,117 +143,52 @@ double ConjunctSelectivity(const ScalarPtr& p) {
   return 0.5;
 }
 
-bool HasEquiJoinPair(const std::vector<ScalarPtr>& preds, size_t left_arity) {
-  for (const ScalarPtr& p : preds) {
-    if (p->kind != ScalarKind::kBinary || p->bin_op != sql::BinOp::kEq) continue;
-    std::set<int> l, r;
-    algebra::CollectSlots(p->left, &l);
-    algebra::CollectSlots(p->right, &r);
-    auto side = [&](const std::set<int>& s) {
-      if (s.empty()) return 0;  // constant
-      if (*s.rbegin() < static_cast<int>(left_arity)) return 1;
-      if (*s.begin() >= static_cast<int>(left_arity)) return 2;
-      return 3;  // mixed
-    };
-    int sl = side(l), sr = side(r);
-    if ((sl == 1 && sr == 2) || (sl == 2 && sr == 1)) return true;
-  }
-  return false;
-}
-
-}  // namespace
-
 double PredicateSelectivity(const std::vector<ScalarPtr>& predicates) {
   double sel = 1.0;
   for (const ScalarPtr& p : predicates) sel *= ConjunctSelectivity(p);
   return std::max(sel, 1e-9);
 }
 
+CostEstimate ScanCost(const std::string& table,
+                      const TableRowCount& row_count) {
+  CostEstimate out;
+  out.rows = row_count != nullptr ? row_count(table) : 1000.0;
+  out.cost = out.rows;
+  return out;
+}
+
+CostEstimate JoinCost(const CostEstimate& l, const CostEstimate& r,
+                      bool has_predicates, bool equi, double selectivity) {
+  double sel = !has_predicates
+                   ? 1.0
+                   : (equi ? 1.0 / std::max({l.rows, r.rows, 1.0})
+                           : selectivity);
+  CostEstimate out;
+  out.rows = std::max(1.0, l.rows * r.rows * sel);
+  if (equi) {
+    out.cost = l.cost + r.cost + l.rows + 2.0 * r.rows + out.rows;
+  } else {
+    out.cost = l.cost + r.cost + l.rows * r.rows + out.rows;
+  }
+  return out;
+}
+
 CostEstimate EstimateExprCost(
     const Memo& memo, ExprId eid,
     const std::function<CostEstimate(GroupId)>& child) {
   const MemoExpr& e = memo.expr(eid);
-  CostEstimate out;
-  switch (e.kind) {
-    case PlanKind::kGet: {
-      // Row count is injected through the Get's child callback convention:
-      // Gets have no children, so the caller special-cases them; here we
-      // only provide the fallback.
-      out.rows = 1000.0;
-      out.cost = out.rows;
-      return out;
-    }
-    case PlanKind::kValues:
-      out.rows = static_cast<double>(e.rows.size());
-      out.cost = out.rows;
-      return out;
-    case PlanKind::kSelect: {
-      CostEstimate c = child(e.children[0]);
-      out.rows = std::max(1.0, c.rows * PredicateSelectivity(e.predicates));
-      out.cost = c.cost + c.rows;
-      return out;
-    }
-    case PlanKind::kProject: {
-      CostEstimate c = child(e.children[0]);
-      out.rows = c.rows;
-      out.cost = c.cost + c.rows;
-      return out;
-    }
-    case PlanKind::kJoin: {
-      CostEstimate l = child(e.children[0]);
-      CostEstimate r = child(e.children[1]);
-      size_t la = memo.group(e.children[0]).arity;
-      bool equi = HasEquiJoinPair(e.predicates, la);
-      double sel = e.predicates.empty()
-                       ? 1.0
-                       : (equi ? 1.0 / std::max({l.rows, r.rows, 1.0})
-                               : PredicateSelectivity(e.predicates));
-      out.rows = std::max(1.0, l.rows * r.rows * sel);
-      if (equi) {
-        out.cost = l.cost + r.cost + l.rows + 2.0 * r.rows + out.rows;
-      } else {
-        out.cost = l.cost + r.cost + l.rows * r.rows + out.rows;
-      }
-      return out;
-    }
-    case PlanKind::kAggregate: {
-      CostEstimate c = child(e.children[0]);
-      out.rows = e.group_by.empty()
-                     ? 1.0
-                     : std::max(1.0, c.rows * 0.1);
-      out.cost = c.cost + 2.0 * c.rows;
-      return out;
-    }
-    case PlanKind::kDistinct: {
-      CostEstimate c = child(e.children[0]);
-      out.rows = std::max(1.0, c.rows * 0.5);
-      out.cost = c.cost + 2.0 * c.rows;
-      return out;
-    }
-    case PlanKind::kSort: {
-      CostEstimate c = child(e.children[0]);
-      out.rows = c.rows;
-      out.cost = c.cost + c.rows * std::log2(c.rows + 2.0);
-      return out;
-    }
-    case PlanKind::kLimit: {
-      CostEstimate c = child(e.children[0]);
-      out.rows = std::min(c.rows, static_cast<double>(e.limit));
-      out.cost = c.cost;
-      return out;
-    }
-    case PlanKind::kUnionAll: {
-      out.rows = 0.0;
-      out.cost = 0.0;
-      for (GroupId g : e.children) {
-        CostEstimate c = child(g);
-        out.rows += c.rows;
-        out.cost += c.cost + c.rows;
-      }
-      return out;
-    }
-  }
-  return out;
+  std::vector<CostEstimate> in;
+  in.reserve(e.children.size());
+  for (GroupId c : e.children) in.push_back(child(c));
+  size_t left_arity =
+      e.kind == PlanKind::kJoin ? memo.group(e.children[0]).arity : 0;
+  return OperatorCost(e, in, left_arity);
+}
+
+CostEstimate EstimatePlanCost(const algebra::PlanPtr& plan,
+                              const TableRowCount& row_count) {
+  size_t arity = 0;
+  return PlanCostRec(*plan, row_count, &arity);
 }
 
 }  // namespace fgac::optimizer

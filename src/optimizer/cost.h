@@ -23,8 +23,26 @@ struct CostEstimate {
 CostEstimate EstimateExprCost(const Memo& memo, ExprId eid,
                               const std::function<CostEstimate(GroupId)>& child);
 
+/// The same model over a plan tree (Gets priced by `row_count`).
+CostEstimate EstimatePlanCost(const algebra::PlanPtr& plan,
+                              const TableRowCount& row_count);
+
+/// A full scan of `table`: its row count, 1000 when `row_count` is unset.
+CostEstimate ScanCost(const std::string& table, const TableRowCount& row_count);
+
+/// The join formula shared by the memo extractor and the join-order search:
+/// a hash join (build on the right input) when some conjunct equates a
+/// left-only expression with a right-only one (`equi`), a nested loop
+/// otherwise. `selectivity` is the conjuncts' combined selectivity and is
+/// read only for a nested loop with predicates.
+CostEstimate JoinCost(const CostEstimate& left, const CostEstimate& right,
+                      bool has_predicates, bool equi, double selectivity);
+
 /// Row-count/selectivity helpers shared with the executor-facing benches.
 double PredicateSelectivity(const std::vector<algebra::ScalarPtr>& predicates);
+/// One conjunct's selectivity; PredicateSelectivity is their product,
+/// floored at 1e-9.
+double ConjunctSelectivity(const algebra::ScalarPtr& conjunct);
 
 }  // namespace fgac::optimizer
 

@@ -15,11 +15,19 @@ struct OptimizeResult {
   ExpandStats expand_stats;
   size_t memo_groups = 0;
   size_t memo_exprs = 0;
+  /// Join ordering: leaves of all reordered join regions, and the joins
+  /// (leaf-set splits) priced to order them.
+  size_t join_leaves = 0;
+  size_t join_splits = 0;
 };
 
-/// Volcano-style optimization: insert the plan into a fresh AND-OR DAG,
-/// expand with equivalence rules, and extract the cheapest plan by
-/// dynamic programming over equivalence nodes.
+/// Cost-based optimization in two steps. First a Volcano-style memo: insert
+/// the plan into a fresh AND-OR DAG, expand it with the structural,
+/// subsumption, aggregate and distinct rules of `options` (its join
+/// commute/associate switches are ignored), and extract the cheapest plan
+/// by dynamic programming over equivalence nodes. Then each inner-join
+/// region of that plan is reordered by dynamic programming over subsets of
+/// its leaves (greedily past 10 leaves), priced by the same cost model.
 Result<OptimizeResult> Optimize(const algebra::PlanPtr& plan,
                                 const ExpandOptions& options,
                                 const TableRowCount& row_count);

@@ -20,6 +20,9 @@ struct ExpandOptions {
   bool enable_select_merge = true;
   bool enable_select_pushdown = true;
   bool enable_select_through_project = true;
+  /// Join reordering in the memo. Only the validity search uses these:
+  /// optimizer::Optimize turns both off and orders joins by dynamic
+  /// programming over relation subsets instead.
   bool enable_join_commute = true;
   bool enable_join_assoc = true;
   /// Subsumption derivations (Section 5.6.1): evaluate a stronger selection

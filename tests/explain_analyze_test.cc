@@ -219,6 +219,19 @@ TEST_F(ExplainAnalyzeTest, SqlRenderingShowsPlanAndTrace) {
   EXPECT_NE(text.find("result: 2 row(s)"), std::string::npos);
 }
 
+TEST_F(ExplainAnalyzeTest, HeaderTimesOptimizationApartFromExecution) {
+  SessionContext ctx("admin");
+  ctx.set_mode(EnforcementMode::kNone);
+  std::string text = ExplainText(
+      "explain analyze select s.name from students s, grades g "
+      "where s.student-id = g.student-id",
+      ctx);
+  size_t header = text.find("execution:");
+  ASSERT_NE(header, std::string::npos) << text;
+  std::string line = text.substr(header, text.find('\n', header) - header);
+  EXPECT_NE(line.find("(optimize: "), std::string::npos) << line;
+}
+
 TEST_F(ExplainAnalyzeTest, SqlRenderingOfRejectionKeepsTrace) {
   // User 12 holds only mygrades; SELECT * over all grades must be
   // rejected — and EXPLAIN ANALYZE must say why instead of erroring.

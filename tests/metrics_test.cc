@@ -270,6 +270,17 @@ TEST_F(DatabaseMetricsTest, ExportRefreshesSubsystemGauges) {
   EXPECT_NE(json.find("\"exec.run_us\""), std::string::npos);
 }
 
+TEST_F(DatabaseMetricsTest, OptimizationHasItsOwnHistogram) {
+  SessionContext ctx("11");
+  ASSERT_TRUE(
+      db_.Execute("select grade from grades where student-id = '11'", ctx)
+          .ok());
+  EXPECT_EQ(db_.metrics().histogram("optimizer.optimize_us").count(), 1u);
+  EXPECT_EQ(db_.metrics().histogram("exec.run_us").count(), 1u);
+  EXPECT_NE(db_.ExportMetricsJson().find("\"optimizer.optimize_us\""),
+            std::string::npos);
+}
+
 // ---------------------------------------------------------------------------
 // Windowed metrics: ring of 5-second epochs behind every counter/histogram
 // ---------------------------------------------------------------------------

@@ -237,6 +237,27 @@ TEST_F(DatabaseTraceTest, TracedNonTrumanSelectEmitsFullSpanTree) {
   ASSERT_EQ(exec.size(), 1u);
   EXPECT_EQ(exec[0].parent_id, query[0].span_id);
   ASSERT_EQ(SpansNamed(spans, "exec.serial").size(), 1u);
+  // Optimization is its own phase, between validity and execution.
+  std::vector<TraceSpan> optimize = SpansNamed(spans, "optimize");
+  ASSERT_EQ(optimize.size(), 1u);
+  EXPECT_EQ(optimize[0].parent_id, query[0].span_id);
+  EXPECT_EQ(optimize[0].detail, "leaves=0 splits=0");  // no join
+  EXPECT_LE(optimize[0].start_us + optimize[0].dur_us, exec[0].start_us);
+}
+
+TEST_F(DatabaseTraceTest, OptimizeSpanCountsJoinLeavesAndSplits) {
+  SessionContext ctx("admin");
+  ctx.set_mode(EnforcementMode::kNone);
+  ctx.set_trace(true);
+  ASSERT_TRUE(db_.Execute("select s.name from students s, grades g "
+                          "where s.student-id = g.student-id",
+                          ctx)
+                  .ok());
+  std::vector<TraceSpan> optimize =
+      SpansNamed(db_.tracer().Snapshot(), "optimize");
+  ASSERT_EQ(optimize.size(), 1u);
+  // Two leaves: two splits in any column order, one in written order.
+  EXPECT_EQ(optimize[0].detail, "leaves=2 splits=3");
 }
 
 TEST_F(DatabaseTraceTest, FreshTraceIdPerStatementWhenUnpinned) {
