@@ -175,12 +175,21 @@ bool Memo::ExprPayloadEquals(const MemoExpr& a, const MemoExpr& b) const {
   return false;
 }
 
+bool Memo::IsSelfLoop(const MemoExpr& e) const {
+  return (e.kind == PlanKind::kDistinct || e.kind == PlanKind::kSort) &&
+         !e.children.empty() && Find(e.children[0]) == Find(e.group);
+}
+
+bool Memo::Indexed(const MemoExpr& e) const {
+  return !e.dead || IsSelfLoop(e);
+}
+
 GroupId Memo::FindExisting(const MemoExpr& expr) const {
   auto it = dedup_.find(ExprKey(expr));
   if (it == dedup_.end()) return -1;
   for (ExprId eid : it->second) {
     const MemoExpr& existing = exprs_[eid];
-    if (!existing.dead && ExprPayloadEquals(existing, expr)) {
+    if (Indexed(existing) && ExprPayloadEquals(existing, expr)) {
       return Find(existing.group);
     }
   }
@@ -228,7 +237,7 @@ GroupId Memo::InsertExpr(MemoExpr expr, GroupId target) {
   if (it != dedup_.end()) {
     for (ExprId eid : it->second) {
       const MemoExpr& existing = exprs_[eid];
-      if (existing.dead || !ExprPayloadEquals(existing, expr)) continue;
+      if (!Indexed(existing) || !ExprPayloadEquals(existing, expr)) continue;
       GroupId found = Find(existing.group);
       if (target < 0 || target == found) return found;
       // Unification: the same operation node appears in two equivalence
@@ -346,21 +355,26 @@ void Memo::Canonicalize() {
     dedup_.clear();
     for (ExprId eid = 0; eid < static_cast<ExprId>(exprs_.size()); ++eid) {
       MemoExpr& e = exprs_[eid];
-      if (e.dead) continue;
+      if (!Indexed(e)) continue;
       e.group = Find(e.group);
       for (GroupId& c : e.children) c = Find(c);
       // Drop degenerate self-loops created by unification of an operator
-      // with its own input (e.g. Distinct over a duplicate-free group).
-      if ((e.kind == PlanKind::kDistinct || e.kind == PlanKind::kSort) &&
-          !e.children.empty() && Find(e.children[0]) == e.group) {
+      // with its own input (e.g. Distinct over a duplicate-free group), but
+      // keep them in the dedup index: re-deriving the operator over that
+      // input then resolves to the group instead of a fresh expression.
+      if (IsSelfLoop(e)) {
         e.dead = true;
+        dedup_[ExprKey(e)].push_back(eid);
         continue;
       }
+      if (e.dead) continue;
       uint64_t key = ExprKey(e);
       auto& bucket = dedup_[key];
       bool duplicate = false;
       for (ExprId other : bucket) {
-        if (exprs_[other].dead || !ExprPayloadEquals(exprs_[other], e)) continue;
+        if (!Indexed(exprs_[other]) || !ExprPayloadEquals(exprs_[other], e)) {
+          continue;
+        }
         GroupId go = Find(exprs_[other].group);
         if (go == e.group) {
           e.dead = true;  // same node twice in one group

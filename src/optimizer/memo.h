@@ -142,6 +142,11 @@ class Memo {
 
  private:
   uint64_t ExprKey(const MemoExpr& e) const;
+  /// A Distinct or Sort whose input is its own group: the operator is the
+  /// identity there. Canonicalize() kills such expressions.
+  bool IsSelfLoop(const MemoExpr& e) const;
+  /// Live, or a killed self-loop: what the dedup index answers with.
+  bool Indexed(const MemoExpr& e) const;
   bool ExprPayloadEquals(const MemoExpr& a, const MemoExpr& b) const;
   size_t ExprArity(const MemoExpr& e) const;
   void MergeGroups(GroupId a, GroupId b);

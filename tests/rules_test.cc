@@ -283,5 +283,30 @@ TEST_F(RulesTest, OptimizedPlanExecutesCorrectly) {
   EXPECT_TRUE(got.value().MultisetEquals(expected.value()));
 }
 
+TEST_F(RulesTest, ExpansionAtItsFixpointCreatesNothing) {
+  // DISTINCT over a projection of a keyed table: pulling the DISTINCT
+  // through the projection inserts Distinct(students), which distinct
+  // elimination unifies with students itself. Re-running the expansion on
+  // the saturated memo must find every derivation already present.
+  for (const char* sql :
+       {"select distinct name, type from students",
+        "select distinct s.name from students s, registered r "
+        "where s.student-id = r.student-id"}) {
+    for (bool goal_directed : {false, true}) {
+      Memo memo;
+      GroupId root = memo.InsertPlan(Bind(sql));
+      ExpandOptions options = options_;
+      if (goal_directed) options.root_goal = root;
+      ExpandMemo(&memo, options);
+      size_t exprs = memo.num_exprs();
+      uint64_t changes = memo.change_count();
+      ExpandStats again = ExpandMemo(&memo, options);
+      EXPECT_EQ(again.exprs_added, 0u) << sql << " goal=" << goal_directed;
+      EXPECT_EQ(memo.num_exprs(), exprs) << sql;
+      EXPECT_EQ(memo.change_count(), changes) << sql;
+    }
+  }
+}
+
 }  // namespace
 }  // namespace fgac::optimizer
