@@ -85,40 +85,6 @@ CostEstimate OperatorCost(const Node& e, const std::vector<CostEstimate>& in,
   return out;
 }
 
-/// EstimatePlanCost plus the plan's output arity (joins need their left
-/// input's arity), computed in one walk.
-CostEstimate PlanCostRec(const algebra::Plan& plan,
-                         const TableRowCount& row_count, size_t* arity) {
-  if (plan.kind == PlanKind::kGet) {
-    *arity = plan.get_columns.size();
-    return ScanCost(plan.table, row_count);
-  }
-  std::vector<CostEstimate> in;
-  std::vector<size_t> arities(plan.children.size(), 0);
-  in.reserve(plan.children.size());
-  for (size_t i = 0; i < plan.children.size(); ++i) {
-    in.push_back(PlanCostRec(*plan.children[i], row_count, &arities[i]));
-  }
-  switch (plan.kind) {
-    case PlanKind::kJoin:
-      *arity = arities[0] + arities[1];
-      break;
-    case PlanKind::kProject:
-      *arity = plan.exprs.size();
-      break;
-    case PlanKind::kAggregate:
-      *arity = plan.group_by.size() + plan.aggs.size();
-      break;
-    case PlanKind::kValues:
-      *arity = plan.values_arity;
-      break;
-    default:
-      *arity = arities.empty() ? 0 : arities[0];
-      break;
-  }
-  return OperatorCost(plan, in, arities.empty() ? 0 : arities[0]);
-}
-
 }  // namespace
 
 double ConjunctSelectivity(const ScalarPtr& p) {
@@ -187,8 +153,16 @@ CostEstimate EstimateExprCost(
 
 CostEstimate EstimatePlanCost(const algebra::PlanPtr& plan,
                               const TableRowCount& row_count) {
-  size_t arity = 0;
-  return PlanCostRec(*plan, row_count, &arity);
+  if (plan->kind == PlanKind::kGet) return ScanCost(plan->table, row_count);
+  std::vector<CostEstimate> in;
+  in.reserve(plan->children.size());
+  for (const algebra::PlanPtr& c : plan->children) {
+    in.push_back(EstimatePlanCost(c, row_count));
+  }
+  size_t left_arity = plan->kind == PlanKind::kJoin
+                          ? algebra::OutputArity(*plan->children[0])
+                          : 0;
+  return OperatorCost(*plan, in, left_arity);
 }
 
 }  // namespace fgac::optimizer

@@ -109,10 +109,11 @@ class Extractor {
 /// keeps two entries: its cheapest tree in any column order, and its
 /// cheapest tree in written order (leaves ascending), which is either a
 /// join of two written-order parts, the first's leaves all before the
-/// second's, or a restoring Project over the any-order tree. A Project
-/// directly above the region absorbs the permutation instead. The written
-/// region stays a candidate, so the result never costs more under the
-/// model; ties keep the earlier candidate and the first split enumerated.
+/// second's, or a restoring Project over the any-order tree. A Project or
+/// Aggregate directly above the region absorbs the permutation instead.
+/// The written region stays a candidate, so the result never costs more
+/// under the model; ties keep the earlier candidate and the first split
+/// enumerated.
 class JoinOrderer {
  public:
   explicit JoinOrderer(const TableRowCount& row_count)
@@ -230,10 +231,22 @@ class JoinOrderer {
     if (n > kMaxLeaves) return written;
     leaves_ += n;
     PrepareRegion(&r);
+    if (n <= kMaxDpLeaves) {
+      DpSub(n);
+    } else {
+      Greedy(n);
+    }
     // Candidates in preference order; the first of the cheapest wins.
-    std::vector<PlanPtr> candidates = {written};
-    Search(r);
-    AddCandidates(r, consumer, &candidates);
+    const LeafSet all = n == 64 ? ~LeafSet{0} : (LeafSet{1} << n) - 1;
+    std::vector<int> order;
+    PlanPtr tree = Build(all, /*written=*/true, r, &order);
+    std::vector<PlanPtr> candidates = {
+        written, consumer == nullptr ? tree : WithChildren(consumer, {tree})};
+    if (consumer != nullptr) {
+      order.clear();
+      candidates.push_back(
+          Absorb(consumer, Build(all, /*written=*/false, r, &order), order));
+    }
     PlanPtr best = written;
     double best_cost = EstimatePlanCost(written, row_count_).cost;
     for (size_t i = 1; i < candidates.size(); ++i) {
@@ -246,38 +259,9 @@ class JoinOrderer {
     return best;
   }
 
-  /// Orders the region's leaves, each filtered by its single-leaf
-  /// conjuncts.
-  void Search(const Region& r) {
-    const size_t n = r.leaves.size();
-    leaf_plans_.clear();
-    leaf_est_.clear();
-    for (size_t i = 0; i < n; ++i) {
-      leaf_plans_.push_back(WithFilter(r.leaves[i], leaf_preds_[i]));
-      leaf_est_.push_back(EstimatePlanCost(leaf_plans_.back(), row_count_));
-    }
-    any_.clear();
-    written_.clear();
-    if (n <= kMaxDpLeaves) {
-      DpSub(n);
-    } else {
-      Greedy(n);
-    }
-  }
-
-  /// Appends the searched tree in written order, and under a consumer
-  /// also the any-order tree, which the consumer reads through the
-  /// permutation.
-  void AddCandidates(const Region& r, const PlanPtr& consumer,
-                     std::vector<PlanPtr>* out) {
-    const size_t n = r.leaves.size();
-    const LeafSet all = n == 64 ? ~LeafSet{0} : (LeafSet{1} << n) - 1;
-    std::vector<int> order;
-    PlanPtr tree = Build(all, /*written=*/true, r, &order);
-    out->push_back(consumer == nullptr ? tree : WithChildren(consumer, {tree}));
-    if (consumer == nullptr) return;
-    order.clear();
-    PlanPtr any = Build(all, /*written=*/false, r, &order);
+  /// `consumer` over `tree`, whose column k holds region slot order[k].
+  static PlanPtr Absorb(const PlanPtr& consumer, PlanPtr tree,
+                        const std::vector<int>& order) {
     std::vector<ScalarPtr> columns(order.size());
     for (size_t pos = 0; pos < order.size(); ++pos) {
       columns[static_cast<size_t>(order[pos])] =
@@ -292,11 +276,12 @@ class JoinOrderer {
     for (ScalarPtr& x : absorbed->exprs) x = permuted(x);
     for (ScalarPtr& x : absorbed->group_by) x = permuted(x);
     for (algebra::AggExpr& a : absorbed->aggs) a.arg = permuted(a.arg);
-    absorbed->children = {any};
-    out->push_back(absorbed);
+    absorbed->children = {std::move(tree)};
+    return absorbed;
   }
 
-  /// Classifies the region's conjuncts.
+  /// Classifies the region's conjuncts and prices its leaves, each
+  /// filtered by its single-leaf conjuncts.
   void PrepareRegion(Region* r) {
     const size_t n = r->leaves.size();
     std::vector<int> slot_leaf(static_cast<size_t>(r->width));
@@ -313,7 +298,7 @@ class JoinOrderer {
       return m;
     };
     // Sorting, dedup and the equality closure over the whole region.
-    leaf_preds_.assign(n, {});
+    std::vector<std::vector<ScalarPtr>> leaf_preds(n);
     conjuncts_.clear();
     constant_.clear();
     for (const ScalarPtr& p : algebra::NormalizePredicates(r->preds)) {
@@ -322,7 +307,7 @@ class JoinOrderer {
         constant_.push_back(p);
       } else if (std::popcount(m) == 1) {
         int i = std::countr_zero(m);
-        leaf_preds_[static_cast<size_t>(i)].push_back(Shift(p, -r->offset[i]));
+        leaf_preds[static_cast<size_t>(i)].push_back(Shift(p, -r->offset[i]));
       } else {
         Conjunct c;
         c.pred = p;
@@ -347,6 +332,14 @@ class JoinOrderer {
         wide_equi_.push_back(&c);
       }
     }
+    leaf_plans_.clear();
+    leaf_est_.clear();
+    for (size_t i = 0; i < n; ++i) {
+      leaf_plans_.push_back(WithFilter(r->leaves[i], std::move(leaf_preds[i])));
+      leaf_est_.push_back(EstimatePlanCost(leaf_plans_.back(), row_count_));
+    }
+    any_.clear();
+    written_.clear();
   }
 
   static PlanPtr WithFilter(const PlanPtr& leaf, std::vector<ScalarPtr> preds) {
@@ -393,7 +386,9 @@ class JoinOrderer {
   CostEstimate Join(const Part& l, const Part& r, const Inside& both) {
     ++splits_;
     size_t placed = both.count - l.inside.count - r.inside.count;
-    double sel = both.sel / (l.inside.sel * r.inside.sel);
+    // Products of hundreds of conjuncts underflow; the floor applies then.
+    double outside = l.inside.sel * r.inside.sel;
+    double sel = outside > 0.0 ? both.sel / outside : 0.0;
     return JoinCost(l.est, r.est, placed > 0, Equi(l.leaves, r.leaves),
                     std::max(sel, 1e-9));
   }
@@ -413,17 +408,17 @@ class JoinOrderer {
         continue;
       }
       Choice ac, wc;
-      a.est.cost = w.est.cost = std::numeric_limits<double>::infinity();
       for (LeafSet l = (s - 1) & s; l != 0; l = (l - 1) & s) {
         LeafSet rest = s ^ l;
+        // The first split is taken even at an infinite cost.
         CostEstimate est = Join(any[l], any[rest], a.inside);
-        if (est.cost < a.est.cost) {
+        if (ac.left == 0 || est.cost < a.est.cost) {
           a.est = est;
           ac = {How::kJoinAny, l};
         }
-        if (std::bit_width(l) <= std::countr_zero(rest)) {
+        if (static_cast<int>(std::bit_width(l)) <= std::countr_zero(rest)) {
           est = Join(written[l], written[rest], a.inside);
-          if (est.cost < w.est.cost) {
+          if (wc.left == 0 || est.cost < w.est.cost) {
             w.est = est;
             wc = {How::kJoinWritten, l};
           }
@@ -455,14 +450,13 @@ class JoinOrderer {
     while (parts.size() > 1) {
       size_t bi = 0, bj = 1;
       Part best;
-      best.est.cost = std::numeric_limits<double>::infinity();
       for (size_t i = 0; i < parts.size(); ++i) {
         for (size_t j = 0; j < parts.size(); ++j) {
           if (i == j) continue;
           LeafSet s = parts[i].leaves | parts[j].leaves;
           Inside both = InsideOf(s);
           CostEstimate est = Join(parts[i], parts[j], both);
-          if (est.cost < best.est.cost) {
+          if (best.leaves == 0 || est.cost < best.est.cost) {
             best = Part{s, est, both};
             bi = i;
             bj = j;
@@ -540,8 +534,6 @@ class JoinOrderer {
   // Per-region scratch.
   std::vector<Conjunct> conjuncts_;
   std::vector<ScalarPtr> constant_;
-  /// Single-leaf conjuncts, per leaf over its own slots.
-  std::vector<std::vector<ScalarPtr>> leaf_preds_;
   /// Per leaf: the leaves it shares an `x = y` conjunct with, each side
   /// one leaf; wide_equi_ holds the `x = y` conjuncts with a wider side.
   std::vector<LeafSet> eq_neighbors_;

@@ -265,6 +265,19 @@ TEST_F(JoinOrderTest, GreedyOrderAboveTenLeavesStaysCorrect) {
   }
 }
 
+TEST_F(JoinOrderTest, GreedyOrderSurvivesSelectivityUnderflow) {
+  // A 26-way clique has 325 join conjuncts: the product of their
+  // selectivities underflows a double, and every order must still build.
+  const int n = 26;
+  std::mt19937 rng(26);
+  MakeTables(n, &rng);
+  std::string sql = "select *" + JoinClauses(Shape::kClique, n, &rng);
+  PlanPtr bound = Bind(sql);
+  ASSERT_NE(bound, nullptr);
+  OptimizeResult r = Check(bound, /*memo_reference=*/false, "clique n=26");
+  EXPECT_EQ(r.join_leaves, static_cast<size_t>(n));
+}
+
 TEST_F(JoinOrderTest, JoinsUnderAggregateAndUnionAll) {
   for (uint32_t seed = 0; seed < 6; ++seed) {
     std::mt19937 rng(seed);
